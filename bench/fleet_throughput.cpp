@@ -1,14 +1,15 @@
-// fleet_throughput: the perf-trajectory benchmark for the batched fleet path.
+// fleet_throughput: the perf-trajectory benchmark for the fleet layer.
 //
 // Measures fleet simulation throughput (nodes/sec, simulation ticks/sec) for
-// both FleetRunner engines on a synthetic fleet, plus the p99 control-loop
-// latency (a node's average monitoring invocation, in simulated seconds), the
-// wall-clock overhead of attaching fleet telemetry, and the throughput of a
-// power-budgeted fleet (the water-filling allocator plus cap-aware policies
-// on the batch path). Before timing anything it verifies the oracle contract
-// -- batch and per-node rollups byte-identical, with and without fault
-// injection, and again with an active fleet power budget -- and exits nonzero
-// on divergence, so CI publishing the numbers also guards the semantics.
+// both FleetRunner schedulers (which share one simulator loop) on a
+// synthetic fleet, plus the p99 control-loop latency (a node's average
+// monitoring invocation, in simulated seconds), the wall-clock overhead of
+// attaching fleet telemetry, and the throughput of a power-budgeted fleet
+// (the water-filling allocator plus cap-aware policies on the batch path).
+// Before timing anything it verifies the oracle contract -- batch and
+// per-node rollups byte-identical, with and without fault injection, and
+// again with an active fleet power budget -- and exits nonzero on
+// divergence, so CI publishing the numbers also guards the semantics.
 //
 // Output: a human table plus BENCH_fleet.json (schema magus.bench.fleet.v3,
 // which names each engine, records the max per-node uncore-domain count, and
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
       std::min(batch_nodes, env_nodes("MAGUS_BENCH_FLEET_PERNODE", 256));
   const std::uint64_t seed = 2025;
 
-  bench::banner("fleet_throughput: batched SoA kernel vs per-node oracle",
+  bench::banner("fleet_throughput: batch vs per-node fleet scheduling",
                 "perf trajectory (not a paper figure); oracle gate for magus::fleet");
 
   // 1. Semantics gate. A fast fleet that disagrees with the oracle is a bug,

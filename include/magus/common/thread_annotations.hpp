@@ -25,8 +25,8 @@
 //   MAGUS_RETURN_CAPABILITY   accessor returns (an alias of) a capability
 //
 // The hot-path role. `hot_path_role` is a phantom capability representing
-// "we are on a bounded-latency, lock-free path" (the SoA batch tick and the
-// runtime's sample→decide→write core). Entering such a region is
+// "we are on a bounded-latency, lock-free path" (the simulator tick loop and
+// the runtime's sample→decide→write core). Entering such a region is
 // `HotPathSection section;`; functions that may only run there are marked
 // MAGUS_LOCK_FREE (= MAGUS_REQUIRES(hot_path_role)). Every
 // AnnotatedMutex::lock / LockGuard / UniqueLock declares

@@ -1,12 +1,13 @@
 #pragma once
-// Batched experiment wiring: the BatchEngine counterpart of exp::run_policy.
+// Policy wiring for the simulator: the one place factory-made policies are
+// bound to simulator backends.
 //
-// A BatchRun collects (system, workload, policy, options) jobs, binds each
-// job's factory-made policy and fault decorators to its batch lane exactly
-// the way run_policy binds them to a SimEngine, then advances every lane
-// through the shared SoA kernel. Per job the output is bit-identical to
-// run_policy on the same inputs (minus traces, which the batch path never
-// records); the fleet determinism tests pin this.
+// A BatchRun collects (system, workload, policy, options) jobs. Each job is
+// one sim::BatchEngine lane: its SimEngine, the factory-made policy bound to
+// that engine's backends (through fault decorators when the options enable
+// faults), and the hook that drives it. exp::run_policy is a one-job
+// BatchRun, so a fleet lane and a standalone run share this wiring as well
+// as the simulator loop.
 
 #include <cstddef>
 #include <deque>
@@ -30,10 +31,9 @@ class BatchRun {
   BatchRun& operator=(const BatchRun&) = delete;
 
   /// Queue one job; returns its index. Policy names resolve through
-  /// core::PolicyFactory::instance() like run_policy; a throwing maker (or
-  /// invalid options) propagates out of this call. opts.engine.record_traces
-  /// must be false; engine-level telemetry (opts.metrics on the engine) is
-  /// not supported, but policy-level metrics/events pass through unchanged.
+  /// core::PolicyFactory::instance(); a throwing maker (or invalid options)
+  /// propagates out of this call. opts.metrics is attached to the job's
+  /// engine as well as handed to the policy.
   std::size_t add(const sim::SystemSpec& system, const wl::PhaseProgram& workload,
                   const std::string& policy, const RunOptions& opts);
 
@@ -49,6 +49,8 @@ class BatchRun {
   [[nodiscard]] const RunOutput& output(std::size_t job) const {
     return jobs_[job].out;
   }
+  /// Move a job's output out; rethrows the exception a failed job threw.
+  [[nodiscard]] RunOutput take(std::size_t job);
 
   [[nodiscard]] std::size_t job_count() const noexcept { return jobs_.size(); }
   [[nodiscard]] unsigned long long total_ticks() const noexcept {

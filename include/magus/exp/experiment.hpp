@@ -1,9 +1,9 @@
 #pragma once
 // Single-run experiment wiring: system preset x workload x policy -> result.
 //
-// Policies are constructed by name through core::PolicyFactory. This is the
-// only place that binds factory-made policies to the simulator backends;
-// benches and tests go through here so every figure uses identical wiring.
+// Policies are constructed by name through core::PolicyFactory and bound to
+// the simulator backends by exp::BatchRun (exp/batch.hpp); run_policy is a
+// one-job BatchRun, so every figure and every fleet node uses one wiring.
 
 #include <string>
 
@@ -69,38 +69,13 @@ struct RunOutput {
 
 /// Run one workload under one named policy on one system. Policy names are
 /// resolved through core::PolicyFactory::instance(); unknown names throw
-/// common::ConfigError listing every registered policy.
+/// common::ConfigError listing every registered policy. An exception the
+/// policy throws mid-run propagates with its original type.
 [[nodiscard]] RunOutput run_policy(const sim::SystemSpec& system,
                                    const wl::PhaseProgram& workload,
                                    const std::string& policy, const RunOptions& opts = {});
 
 /// The Table 2 protocol workload: an (almost) idle node for `duration_s`.
 [[nodiscard]] wl::PhaseProgram idle_workload(double duration_s);
-
-// ---------------------------------------------------------------------------
-// Deprecated PolicyKind shim.
-//
-// PolicyKind predates the factory; it survives only so the golden-determinism
-// fixtures keep compiling byte-for-byte. New call sites must pass names (the
-// `naked-policy-kind` lint rule enforces this); the enum is frozen and will
-// be removed once the goldens are regenerated against names.
-
-enum class PolicyKind {
-  kDefault,    ///< stock firmware only (the paper's baseline)
-  kStaticMin,  ///< uncore pinned at ladder min (Fig. 2 right)
-  kStaticMax,  ///< uncore pinned at ladder max (Fig. 2 left)
-  kStatic,     ///< uncore pinned at RunOptions::static_ghz
-  kMagus,      ///< the paper's contribution
-  kUps,        ///< UPScavenger baseline
-  kDuf,        ///< DUF-style bandwidth-utilisation baseline (Andre et al. '22)
-};
-
-/// The factory name a legacy PolicyKind maps to.
-[[nodiscard]] const char* policy_name(PolicyKind kind) noexcept;
-
-/// Deprecated: forwards to the name-based overload via policy_name(kind).
-[[nodiscard]] RunOutput run_policy(const sim::SystemSpec& system,
-                                   const wl::PhaseProgram& workload, PolicyKind kind,
-                                   const RunOptions& opts = {});
 
 }  // namespace magus::exp

@@ -128,10 +128,10 @@ struct FleetResult {
   [[nodiscard]] std::string to_jsonl() const;
 };
 
-/// Which tick path simulates each shard. Both produce byte-identical
-/// FleetResult::to_jsonl() output; kPerNode (exp::run_policy, one SimEngine
-/// per run) is the oracle, kBatch (exp::BatchRun, struct-of-arrays kernel)
-/// is the throughput path.
+/// How a shard's runs are scheduled. Both run every node on the same
+/// simulator loop and produce byte-identical FleetResult::to_jsonl() output:
+/// kPerNode calls exp::run_policy node by node, kBatch puts the shard's runs
+/// in one exp::BatchRun per retry round.
 enum class FleetEngine {
   kPerNode,
   kBatch,

@@ -28,8 +28,7 @@ struct AccessMeter {
 };
 
 /// RAPL unit descriptor every simulated node advertises (typical server
-/// values: energy LSB = 1/2^14 J). Shared by the per-node and batch MSR
-/// backends so both encode identical register values.
+/// values: energy LSB = 1/2^14 J).
 [[nodiscard]] const hw::RaplUnits& sim_rapl_units() noexcept;
 
 /// Encode cumulative joules as the wrapping 32-bit energy-status value MSR

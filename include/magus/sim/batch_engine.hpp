@@ -1,261 +1,109 @@
 #pragma once
-// BatchEngine: the struct-of-arrays fleet tick path.
+// BatchEngine: many independent simulator runs advanced by one scheduler.
 //
-// Advances many independent lanes (one lane = one simulated node run) with
-// the hot per-tick state held in contiguous arrays -- one flat vector per
-// quantity, indexed by lane (or lane-socket for per-socket state) -- and the
-// cold per-lane bookkeeping (spec copies, phase programs, policy hooks,
-// result assembly) parked in a deque off the tick path. The arrays are the
-// shard's arena: they are allocated once while lanes are added and never
-// touched by the tick loop, which performs no heap allocation and no
-// virtual dispatch (policy callbacks run only at sample boundaries, every
-// ~150 ticks).
+// A lane is one SimEngine plus the policy hook bound to it. run_all starts
+// every lane, then steps a block of lanes round-robin from one sample
+// boundary to the next (SimEngine::advance, ~150 ticks a step) until the
+// block drains, then moves to the next block. Lanes share nothing, so a
+// lane's result is exactly what SimEngine::run returns for the same
+// (system, program, config, hook): there is one tick loop and one set of
+// simulator backends, and a lane is that loop run under a scheduler.
 //
-// The tick arithmetic is kern::node_tick (sim/kernel.hpp) -- the same
-// template the per-node NodeModel instantiates -- so a lane's result is
-// bit-identical to SimEngine::run on the same (system, program, config,
-// hook). SimEngine is the oracle; tests/fleet pin byte-equality of fleet
-// rollups between the two engines.
-//
-// Scope: lanes never record traces (EngineConfig::record_traces must be
-// false) and there is no engine-level telemetry; the fleet path uses
-// neither. Policy-level telemetry (PolicyContext::metrics/events) works
-// unchanged.
+// A lane whose policy throws (at start or at a sample boundary) is marked
+// failed and keeps the exception; its siblings run on unaffected.
 
 #include <cstddef>
-#include <cstdint>
 #include <deque>
-#include <optional>
+#include <exception>
 #include <string>
-#include <vector>
 
-#include "magus/common/rng.hpp"
 #include "magus/common/thread_annotations.hpp"
-#include "magus/hw/counters.hpp"
-#include "magus/hw/msr.hpp"
-#include "magus/sim/backends.hpp"
 #include "magus/sim/engine.hpp"
-#include "magus/sim/kernel.hpp"
-#include "magus/sim/program_executor.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/wl/phase.hpp"
 
 namespace magus::sim {
 
-class BatchEngine;
-
-// --- hw-interface views over one batch lane --------------------------------
-// Each backend holds (engine, lane index) and resolves state on every call:
-// the SoA vectors reallocate while lanes are added, so nothing may cache a
-// pointer into them. Semantics mirror the Sim* backends exactly (including
-// error strings), so policies and fault decorators observe identical
-// behaviour on either engine.
-
-class BatchMsrDevice final : public hw::IMsrDevice {
- public:
-  BatchMsrDevice(BatchEngine& engine, std::size_t lane) : engine_(&engine), lane_(lane) {}
-
-  [[nodiscard]] int socket_count() const override;
-  [[nodiscard]] std::uint64_t read(int socket, std::uint32_t reg) override;
-  void write(int socket, std::uint32_t reg, std::uint64_t value) override;
-
- private:
-  BatchEngine* engine_;
-  std::size_t lane_;
-};
-
-class BatchMemThroughputCounter final : public hw::IMemThroughputCounter {
- public:
-  BatchMemThroughputCounter(BatchEngine& engine, std::size_t lane)
-      : engine_(&engine), lane_(lane) {}
-
-  [[nodiscard]] double total_mb() override;
-  [[nodiscard]] int domain_count() override;
-  [[nodiscard]] double domain_mb(int domain) override;
-
- private:
-  BatchEngine* engine_;
-  std::size_t lane_;
-};
-
-class BatchUncoreDomainSet final : public hw::IUncoreDomainSet {
- public:
-  BatchUncoreDomainSet(BatchEngine& engine, std::size_t lane)
-      : engine_(&engine), lane_(lane) {}
-
-  [[nodiscard]] int domain_count() const override;
-  [[nodiscard]] hw::DomainId domain_id(int domain) const override;
-  [[nodiscard]] common::Ghz min_ghz(int domain) override;
-  [[nodiscard]] common::Ghz max_ghz(int domain) override;
-  [[nodiscard]] common::Ghz current_ghz(int domain) override;
-  void write_max_ghz(int domain, common::Ghz freq) override;
-  void write_min_ghz(int domain, common::Ghz freq) override;
-
- private:
-  void check_domain(int domain) const;
-
-  BatchEngine* engine_;
-  std::size_t lane_;
-};
-
-class BatchEnergyCounter final : public hw::IEnergyCounter {
- public:
-  BatchEnergyCounter(BatchEngine& engine, std::size_t lane)
-      : engine_(&engine), lane_(lane) {}
-
-  [[nodiscard]] int socket_count() const override;
-  [[nodiscard]] double pkg_energy_j(int socket) override;
-  [[nodiscard]] double dram_energy_j(int socket) override;
-
- private:
-  BatchEngine* engine_;
-  std::size_t lane_;
-};
-
-class BatchGpuPowerSensor final : public hw::IGpuPowerSensor {
- public:
-  BatchGpuPowerSensor(BatchEngine& engine, std::size_t lane)
-      : engine_(&engine), lane_(lane) {}
-
-  [[nodiscard]] int gpu_count() const override;
-  [[nodiscard]] double power_w(int gpu) override;
-  [[nodiscard]] double energy_j(int gpu) override;
-
- private:
-  BatchEngine* engine_;
-  std::size_t lane_;
-};
-
-class BatchCoreCounters final : public hw::ICoreCounters {
- public:
-  BatchCoreCounters(BatchEngine& engine, std::size_t lane)
-      : engine_(&engine), lane_(lane) {}
-
-  [[nodiscard]] int core_count() const override;
-  [[nodiscard]] std::uint64_t instructions_retired(int core) override;
-  [[nodiscard]] std::uint64_t cycles_unhalted(int core) override;
-
- private:
-  BatchEngine* engine_;
-  std::size_t lane_;
-};
-
-// --- the engine ------------------------------------------------------------
-
 class BatchEngine {
  public:
   BatchEngine() = default;
-  // Backends hold a pointer to the engine; pin the address.
+  // Lanes are pinned in place (policies hold their backends); so is the engine.
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  /// Add one lane. Validates like the SimEngine constructor; additionally
-  /// rejects cfg.record_traces (traces are a per-node concern). Returns the
-  /// lane index used by every other accessor.
+  /// Add one lane: a SimEngine over (system, program, cfg), validated by
+  /// its constructor. Returns the lane index used by every other accessor.
   std::size_t add_lane(const SystemSpec& system, wl::PhaseProgram program,
                        const EngineConfig& cfg);
 
   /// Bind the policy hook for a lane (default: the no-op "default" hook).
   void set_hook(std::size_t lane, PolicyHook hook);
 
-  // Backends a policy binds to. Valid for the engine's lifetime.
-  [[nodiscard]] hw::IMsrDevice& msr(std::size_t lane);
-  [[nodiscard]] hw::IMemThroughputCounter& mem_counter(std::size_t lane);
-  [[nodiscard]] hw::IEnergyCounter& energy_counter(std::size_t lane);
-  [[nodiscard]] hw::IGpuPowerSensor& gpu_sensor(std::size_t lane);
-  [[nodiscard]] hw::ICoreCounters& core_counters(std::size_t lane);
-  [[nodiscard]] hw::IUncoreDomainSet& domains(std::size_t lane);
+  /// The lane's engine (recorder, telemetry, node state).
+  [[nodiscard]] SimEngine& engine(std::size_t lane) { return lanes_[lane].engine; }
+
+  // Backends a policy binds to: the lane engine's. Valid for the engine's
+  // lifetime.
+  [[nodiscard]] hw::IMsrDevice& msr(std::size_t lane) { return engine(lane).msr(); }
+  [[nodiscard]] hw::IMemThroughputCounter& mem_counter(std::size_t lane) {
+    return engine(lane).mem_counter();
+  }
+  [[nodiscard]] hw::IEnergyCounter& energy_counter(std::size_t lane) {
+    return engine(lane).energy_counter();
+  }
+  [[nodiscard]] hw::IGpuPowerSensor& gpu_sensor(std::size_t lane) {
+    return engine(lane).gpu_sensor();
+  }
+  [[nodiscard]] hw::ICoreCounters& core_counters(std::size_t lane) {
+    return engine(lane).core_counters();
+  }
+  [[nodiscard]] hw::IUncoreDomainSet& domains(std::size_t lane) {
+    return engine(lane).domains();
+  }
 
   /// Run every lane to completion (or its safety cap). Call at most once.
-  /// A lane whose policy callback throws is recorded failed and isolated;
-  /// sibling lanes are unaffected.
   void run_all();
 
   [[nodiscard]] std::size_t lane_count() const noexcept { return lanes_.size(); }
-  [[nodiscard]] bool lane_failed(std::size_t lane) const;
-  [[nodiscard]] const std::string& lane_error(std::size_t lane) const;
+  [[nodiscard]] bool lane_failed(std::size_t lane) const {
+    return lanes_[lane].error != nullptr;
+  }
+  /// what() of a failed lane's exception.
+  [[nodiscard]] const std::string& lane_error(std::size_t lane) const {
+    return lanes_[lane].message;
+  }
+  /// The exception a failed lane's policy threw (null when it did not fail).
+  [[nodiscard]] std::exception_ptr lane_exception(std::size_t lane) const {
+    return lanes_[lane].error;
+  }
   /// Result for a successfully finished lane (unspecified if lane_failed).
-  [[nodiscard]] const SimResult& result(std::size_t lane) const;
+  [[nodiscard]] const SimResult& result(std::size_t lane) const {
+    return lanes_[lane].result;
+  }
   /// Simulation steps executed across all finished lanes.
   [[nodiscard]] unsigned long long total_ticks() const noexcept { return total_ticks_; }
 
  private:
-  friend class BatchMsrDevice;
-  friend class BatchMemThroughputCounter;
-  friend class BatchEnergyCounter;
-  friend class BatchGpuPowerSensor;
-  friend class BatchCoreCounters;
-  friend class BatchUncoreDomainSet;
-
-  /// Cold per-lane bookkeeping, off the tick path. Lives in a deque so
-  /// addresses stay stable while lanes are added (backends and policy
-  /// lambdas point into it).
   struct Lane {
-    Lane(BatchEngine& engine, std::size_t lane_index, SystemSpec system,
-         wl::PhaseProgram prog, const EngineConfig& config);
+    Lane(const SystemSpec& system, wl::PhaseProgram program, const EngineConfig& cfg)
+        : engine(system, std::move(program), cfg) {}
 
-    SystemSpec spec;
-    wl::PhaseProgram program;
-    EngineConfig cfg;
-    kern::NodeParams params;
-    std::size_t index = 0;        ///< this lane's position (per-lane arrays)
-    std::size_t socket_base = 0;  ///< first index into the per-socket arrays
-    std::size_t domain_base = 0;  ///< first index into the per-domain arrays
+    /// Record the exception in flight; call only from a catch block.
+    void fail();
+
+    SimEngine engine;
     PolicyHook hook;
-    AccessMeter meter;
-    std::vector<std::uint64_t> raw_0x620;
-    std::optional<ProgramExecutor> executor;
-
-    BatchMsrDevice msr;
-    BatchMemThroughputCounter mem;
-    BatchEnergyCounter energy;
-    BatchGpuPowerSensor gpu_sensor;
-    BatchCoreCounters cores;
-    BatchUncoreDomainSet domain_set;
-
-    // Loop state (mirrors the SimEngine::run locals).
-    double t = 0.0;
-    double max_sim = 0.0;
-    double next_sample_t = 0.0;
-    double monitor_busy_until = 0.0;
-    double monitor_power_w = 0.0;
-    unsigned long long ticks = 0;
-    bool failed = false;
-    std::string error;
     SimResult result;
+    std::exception_ptr error;
+    std::string message;
   };
 
-  struct SoaLane;  // adapts the arrays to the kern::node_tick lane concept
+  /// Advance one lane to its next sample boundary; true once it is done
+  /// (finished or failed). MAGUS_LOCK_FREE: runs only inside run_all's
+  /// HotPathSection.
+  [[nodiscard]] bool step_lane(Lane& lane) MAGUS_LOCK_FREE;
 
-  void start_lane(Lane& lane);
-  /// One tick (+ sample boundary) for lane `index`; true when it finished.
-  /// MAGUS_LOCK_FREE: runs only inside run_all's HotPathSection, so taking
-  /// any AnnotatedMutex in its body is a compile error under Clang — the
-  /// compiler-checked half of the marker-comment hot-path lint contract.
-  /// (Policy callbacks invoked at sample boundaries are std::function and
-  /// opaque to the analysis; they manage their own hot sections.)
-  [[nodiscard]] bool step_lane(std::size_t index) MAGUS_LOCK_FREE;
-  void finish_lane(Lane& lane);
-
-  // Hot state, struct-of-arrays. Per-socket quantities are flat
-  // [lane.socket_base + socket]; per-domain quantities (uncore state and the
-  // domain accumulators) are flat [lane.domain_base + domain], socket-major;
-  // per-lane quantities are indexed by lane. On single-die parts the domain
-  // arrays have one entry per socket.
-  std::vector<kern::UncoreState> uncore_;
-  std::vector<kern::FirmwareState> firmware_;
-  std::vector<double> pkg_energy_j_;
-  std::vector<double> dram_energy_j_;
-  std::vector<double> last_pkg_w_;
-  std::vector<double> domain_traffic_mb_;
-  std::vector<double> domain_uncore_energy_j_;
-  std::vector<double> domain_stretch_time_s_;
-  std::vector<kern::CoreState> core_;
-  std::vector<kern::GpuState> gpu_;
-  std::vector<double> traffic_mb_;
-  std::vector<common::Rng> rng_;
-
-  std::deque<Lane> lanes_;
+  std::deque<Lane> lanes_;  ///< deque: lane addresses stay stable
   unsigned long long total_ticks_ = 0;
   bool ran_ = false;
 };

@@ -1,5 +1,5 @@
 #pragma once
-// SimEngine: the discrete-time driver.
+// SimEngine: the discrete-time driver, and the only simulator loop.
 //
 // Executes a PhaseProgram on a NodeModel while periodically invoking a
 // runtime policy. Invocation cost is *measured*, not assumed: the engine
@@ -7,16 +7,24 @@
 // per-read latency plus active monitor power for the duration -- the
 // mechanism that makes Table 2's MAGUS/UPS overhead gap fall out of the
 // number of counters each method reads.
+//
+// A run is resumable: start (bind the hook, fire on_start), advance (tick
+// to the next sample boundary, invoke on_sample there), finish (assemble
+// the result). run() strings the three together; BatchEngine interleaves
+// many engines' advance steps, so a fleet lane and a standalone run execute
+// the very same code.
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "magus/common/quantity.hpp"
+#include "magus/common/thread_annotations.hpp"
 #include "magus/sim/backends.hpp"
 #include "magus/sim/node.hpp"
+#include "magus/sim/program_executor.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/trace/recorder.hpp"
 #include "magus/wl/phase.hpp"
@@ -87,8 +95,12 @@ struct SimResult {
 class SimEngine {
  public:
   SimEngine(SystemSpec spec, wl::PhaseProgram program, EngineConfig cfg = {});
+  // Backends and the executor point into the engine; pin the address.
+  SimEngine(const SimEngine&) = delete;
+  SimEngine& operator=(const SimEngine&) = delete;
 
-  /// Run to completion (or the safety cap) under `policy`.
+  /// Run to completion (or the safety cap) under `policy`. An exception a
+  /// policy callback throws propagates unchanged.
   SimResult run(const PolicyHook& policy = {});
 
   /// Register the engine series on `reg` (magus_sim_steps_total,
@@ -99,29 +111,58 @@ class SimEngine {
   void attach_telemetry(telemetry::MetricsRegistry& reg);
 
   // Backends a policy binds to. Valid for the engine's lifetime.
-  [[nodiscard]] hw::IMsrDevice& msr() noexcept { return *msr_; }
-  [[nodiscard]] hw::IMemThroughputCounter& mem_counter() noexcept { return *mem_counter_; }
-  [[nodiscard]] hw::IEnergyCounter& energy_counter() noexcept { return *energy_counter_; }
-  [[nodiscard]] hw::IGpuPowerSensor& gpu_sensor() noexcept { return *gpu_sensor_; }
-  [[nodiscard]] hw::ICoreCounters& core_counters() noexcept { return *core_counters_; }
-  [[nodiscard]] hw::IUncoreDomainSet& domains() noexcept { return *domains_; }
+  [[nodiscard]] hw::IMsrDevice& msr() noexcept { return msr_; }
+  [[nodiscard]] hw::IMemThroughputCounter& mem_counter() noexcept { return mem_counter_; }
+  [[nodiscard]] hw::IEnergyCounter& energy_counter() noexcept { return energy_counter_; }
+  [[nodiscard]] hw::IGpuPowerSensor& gpu_sensor() noexcept { return gpu_sensor_; }
+  [[nodiscard]] hw::ICoreCounters& core_counters() noexcept { return core_counters_; }
+  [[nodiscard]] hw::IUncoreDomainSet& domains() noexcept { return domains_; }
 
   [[nodiscard]] NodeModel& node() noexcept { return node_; }
   [[nodiscard]] const trace::TraceRecorder& recorder() const noexcept { return recorder_; }
 
  private:
-  SystemSpec spec_;
+  friend class BatchEngine;
+
+  /// Bind `policy` (it must outlive the run) and fire its on_start.
+  void start(const PolicyHook& policy);
+  /// Tick to the next sample boundary and invoke on_sample there; true once
+  /// the program has completed or hit the safety cap (no sample then).
+  /// MAGUS_LOCK_FREE: callers hold a HotPathSection, so taking any
+  /// AnnotatedMutex in its body is a compile error under Clang. (The policy
+  /// callbacks are std::function, opaque to the analysis; they manage their
+  /// own hot sections.)
+  [[nodiscard]] bool advance() MAGUS_LOCK_FREE;
+  /// Assemble the result of the run that advance() just completed.
+  [[nodiscard]] SimResult finish();
+  /// Invoke on_sample at the current time and charge its measured cost.
+  void sample();
+  void record_tick(double t, const WorkSlice& slice, const TickOutput& out);
+
   wl::PhaseProgram program_;
   EngineConfig cfg_;
   NodeModel node_;
   AccessMeter meter_;
-  std::unique_ptr<SimMsrDevice> msr_;
-  std::unique_ptr<SimMemThroughputCounter> mem_counter_;
-  std::unique_ptr<SimEnergyCounter> energy_counter_;
-  std::unique_ptr<SimGpuPowerSensor> gpu_sensor_;
-  std::unique_ptr<SimCoreCounters> core_counters_;
-  std::unique_ptr<SimUncoreDomainSet> domains_;
+  SimMsrDevice msr_;
+  SimMemThroughputCounter mem_counter_;
+  SimEnergyCounter energy_counter_;
+  SimGpuPowerSensor gpu_sensor_;
+  SimCoreCounters core_counters_;
+  SimUncoreDomainSet domains_;
   trace::TraceRecorder recorder_;
+  std::vector<std::string> core_channels_;  ///< core_freq_ghz_<c>, built once
+
+  // State of the run in progress, between start() and finish().
+  const PolicyHook* hook_ = nullptr;
+  std::optional<ProgramExecutor> executor_;
+  SimResult result_;
+  double t_ = 0.0;
+  double max_sim_ = 0.0;
+  double next_sample_t_ = 0.0;
+  double next_record_t_ = 0.0;
+  double monitor_busy_until_ = 0.0;
+  double monitor_power_w_ = 0.0;
+  unsigned long long ticks_ = 0;
 
   // Telemetry handles; all nullptr until attach_telemetry.
   telemetry::Counter* m_steps_ = nullptr;

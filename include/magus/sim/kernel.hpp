@@ -1,24 +1,20 @@
 #pragma once
-// Shared node-tick kernel (namespace magus::sim::kern).
+// The node-tick kernel (namespace magus::sim::kern).
 //
-// One copy of the per-tick arithmetic, written against plain-old-data state
-// structs and a `Lane` accessor concept, instantiated twice:
+// The one copy of the per-tick arithmetic, written against plain-old-data
+// state structs and a `Lane` accessor concept. NodeModel::tick is its only
+// caller: it adapts the member model objects (UncoreModel, CoreModel, ...)
+// through a lane view, and SimEngine -- standalone or as a BatchEngine lane
+// -- advances every simulated node through it.
 //
-//   * NodeModel::tick adapts its member objects (UncoreModel, CoreModel, ...)
-//     through a lane view -- the per-node oracle path;
-//   * BatchEngine adapts contiguous struct-of-arrays storage through a lane
-//     view -- the batched fleet path.
-//
-// Because both paths execute the *same* template over the same IEEE-754
-// operation sequence, their results are bit-identical by construction; the
-// golden determinism tests pin this. Keep every expression here in the exact
-// order the original model classes used -- reassociating a sum or hoisting a
-// multiply changes bit patterns and breaks the goldens.
+// The golden determinism tests pin its bit patterns. Keep every expression
+// here in the exact order the original model classes used -- reassociating
+// a sum or hoisting a multiply changes bit patterns and breaks the goldens.
 //
 // Functions here are contract-free on purpose: the wrapper classes
 // (UncoreModel, FirmwareGovernor, ...) keep their MAGUS_EXPECT/ENSURE
 // checks at the API boundary, so the kernel stays branch-lean for the
-// batched tick loop.
+// tick loop.
 
 #include <algorithm>
 #include <cmath>
@@ -67,10 +63,10 @@ inline constexpr double kTrafficNoiseRel = 0.002;
 inline constexpr double kBackgroundTrafficMbps = 300.0;
 /// Hard cap on sockets * dies_per_socket: the per-domain tick path uses
 /// fixed stack scratch (no heap in the hot path). Enforced at the API
-/// boundaries (NodeModel, BatchEngine, manifest validation), not here.
+/// boundaries (NodeModel, manifest validation), not here.
 inline constexpr int kMaxDomains = 64;
 
-// --- per-subsystem state (POD, SoA-friendly) -------------------------------
+// --- per-subsystem state (POD) ----------------------------------------------
 
 struct UncoreState {
   double policy_limit_ghz = 0.0;  ///< MSR 0x620 MAX_RATIO, ladder-clamped

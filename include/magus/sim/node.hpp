@@ -1,10 +1,10 @@
 #pragma once
 // NodeModel: the whole heterogeneous node -- sockets (core + uncore + DRAM),
 // GPUs, the stock firmware governor, and the cumulative counters the hw
-// backends expose to runtimes. The per-tick arithmetic is kern::node_tick
-// (sim/kernel.hpp), instantiated here over the member model objects; the
-// batched fleet path instantiates the same template over SoA storage, which
-// is what keeps the two engines bit-identical.
+// backends (sim/backends.hpp) expose to runtimes. The per-tick arithmetic is
+// kern::node_tick (sim/kernel.hpp), instantiated here over the member model
+// objects; tick() is the only place it runs, for standalone engines and
+// BatchEngine lanes alike.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,8 +1,7 @@
 #pragma once
 // ProgramExecutor: walks a PhaseProgram in "phase seconds". Progress advances
 // at the node's progress rate, so memory starvation stretches wall-clock
-// automatically. Shared by the per-node SimEngine and the batched fleet
-// engine so both walk phases with identical arithmetic.
+// automatically. SimEngine owns one per run.
 
 #include <cstddef>
 

@@ -1,5 +1,6 @@
 #include "magus/exp/batch.hpp"
 
+#include <exception>
 #include <utility>
 
 #include "magus/core/policy_factory.hpp"
@@ -8,8 +9,9 @@ namespace magus::exp {
 
 std::size_t BatchRun::add(const sim::SystemSpec& system, const wl::PhaseProgram& workload,
                           const std::string& policy, const RunOptions& opts) {
-  // Mirror of exp::run_policy's wiring, lane-indexed instead of per-engine.
   const std::size_t lane = engine_.add_lane(system, workload, opts.engine);
+  sim::SimEngine& engine = engine_.engine(lane);
+  if (opts.metrics) engine.attach_telemetry(*opts.metrics);
   jobs_.push_back(
       Job{hw::UncoreFreqLadder(system.cpu.uncore_min_ghz, system.cpu.uncore_max_ghz),
           {},
@@ -20,20 +22,21 @@ std::size_t BatchRun::add(const sim::SystemSpec& system, const wl::PhaseProgram&
   Job& job = jobs_.back();
 
   core::PolicyContext ctx;
-  ctx.mem_counter = &engine_.mem_counter(lane);
-  ctx.energy_counter = &engine_.energy_counter(lane);
-  ctx.core_counters = &engine_.core_counters(lane);
-  ctx.msr = &engine_.msr(lane);
+  ctx.mem_counter = &engine.mem_counter();
+  ctx.energy_counter = &engine.energy_counter();
+  ctx.core_counters = &engine.core_counters();
+  ctx.msr = &engine.msr();
   ctx.ladder = &job.ladder;
 
-  // Fault decorators slot in between the policy and the lane backends,
-  // constructed only when enabled -- the same contract as run_policy.
+  // Fault decorators slot in between the policy and the engine backends.
+  // Constructed only when enabled so a rate-0 run takes the exact same code
+  // path (and produces bit-identical results) as before the fault layer.
   if (opts.fault.enabled()) {
     job.plan = std::make_unique<fault::FaultPlan>(opts.fault, opts.fault_node);
     job.faulty_mem = std::make_unique<fault::FaultyMemThroughputCounter>(
-        engine_.mem_counter(lane), *job.plan, job.out.faults);
-    job.faulty_msr = std::make_unique<fault::FaultyMsrDevice>(engine_.msr(lane), *job.plan,
-                                                              job.out.faults);
+        engine.mem_counter(), *job.plan, job.out.faults);
+    job.faulty_msr =
+        std::make_unique<fault::FaultyMsrDevice>(engine.msr(), *job.plan, job.out.faults);
     ctx.mem_counter = job.faulty_mem.get();
     ctx.msr = job.faulty_msr.get();
   }
@@ -47,9 +50,10 @@ std::size_t BatchRun::add(const sim::SystemSpec& system, const wl::PhaseProgram&
   ctx.power_cap = &opts.power_cap;
   ctx.metrics = opts.metrics;
   ctx.events = opts.events;
-  // Per-domain control only on multi-domain nodes (same gate as run_policy).
+  // Per-domain control only on multi-domain nodes: single-domain runs keep
+  // the legacy node-level loop (and its exact counter-access sequence).
   if (system.cpu.dies_per_socket > 1 || system.numa_skew != 0.0) {
-    ctx.domains = &engine_.domains(lane);
+    ctx.domains = &engine.domains();
   }
 
   const core::PolicyFactory& factory = core::PolicyFactory::instance();
@@ -72,11 +76,18 @@ std::size_t BatchRun::add(const sim::SystemSpec& system, const wl::PhaseProgram&
 void BatchRun::run_all() {
   engine_.run_all();
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (engine_.lane_failed(i)) continue;
     Job& job = jobs_[i];
+    // A job whose policy could not be made (add threw) has no output.
+    if (engine_.lane_failed(i) || !job.policy) continue;
     job.out.result = engine_.result(i);
+    job.out.traces = engine_.engine(i).recorder();
     job.out.policy_degraded = job.policy->degraded();
   }
+}
+
+RunOutput BatchRun::take(std::size_t job) {
+  if (engine_.lane_failed(job)) std::rethrow_exception(engine_.lane_exception(job));
+  return std::move(jobs_[job].out);
 }
 
 }  // namespace magus::exp

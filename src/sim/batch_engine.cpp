@@ -1,503 +1,77 @@
 #include "magus/sim/batch_engine.hpp"
 
-#include <exception>
-#include <limits>
-#include <string>
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "magus/common/error.hpp"
-#include "magus/common/units.hpp"
 
 namespace magus::sim {
 
-// --- lane backends ---------------------------------------------------------
-// Error strings deliberately match the Sim* backends: a policy (or fault
-// decorator) driving either engine observes byte-identical behaviour.
-
-int BatchMsrDevice::socket_count() const { return engine_->lanes_[lane_].params.sockets; }
-
-std::uint64_t BatchMsrDevice::read(int socket, std::uint32_t reg) {
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  if (socket < 0 || socket >= lane.params.sockets) {
-    throw common::ConfigError("SimMsrDevice: socket out of range");
-  }
-  ++lane.meter.msr_reads;
-  const std::size_t slot = lane.socket_base + static_cast<std::size_t>(socket);
-  switch (reg) {
-    case hw::msr::kUncoreRatioLimit:
-      return lane.raw_0x620[static_cast<std::size_t>(socket)];
-    case hw::msr::kUncorePerfStatus:
-      // First die of the socket (the socket's representative domain).
-      return common::to_ratio(
-                 common::Ghz(engine_
-                                 ->uncore_[lane.domain_base +
-                                           static_cast<std::size_t>(
-                                               socket * lane.params.dies_per_socket)]
-                                 .freq_ghz))
-          .value();
-    case hw::msr::kRaplPowerUnit:
-      return sim_rapl_units().encode();
-    case hw::msr::kPkgEnergyStatus:
-      return sim_energy_status(engine_->pkg_energy_j_[slot]);
-    case hw::msr::kDramEnergyStatus:
-      return sim_energy_status(engine_->dram_energy_j_[slot]);
-    default:
-      throw common::DeviceError("SimMsrDevice: unsupported MSR read 0x" +
-                                std::to_string(reg));
+void BatchEngine::Lane::fail() {
+  error = std::current_exception();
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    message = e.what();
+  } catch (...) {
+    message = "unknown exception";
   }
 }
-
-void BatchMsrDevice::write(int socket, std::uint32_t reg, std::uint64_t value) {
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  if (socket < 0 || socket >= lane.params.sockets) {
-    throw common::ConfigError("SimMsrDevice: socket out of range");
-  }
-  ++lane.meter.msr_writes;
-  if (reg != hw::msr::kUncoreRatioLimit) {
-    throw common::DeviceError("SimMsrDevice: unsupported MSR write 0x" +
-                              std::to_string(reg));
-  }
-  lane.raw_0x620[static_cast<std::size_t>(socket)] = value;
-  const auto limit = hw::UncoreRatioLimit::decode(value);
-  // A socket-granular MSR write lands on every die in the package.
-  const int dies = lane.params.dies_per_socket;
-  for (int die = 0; die < dies; ++die) {
-    const std::size_t slot =
-        lane.domain_base + static_cast<std::size_t>(socket * dies + die);
-    kern::uncore_set_policy_limit(engine_->uncore_[slot], lane.params.ladder,
-                                  limit.max_ghz());
-  }
-}
-
-double BatchMemThroughputCounter::total_mb() {
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  ++lane.meter.pcm_reads;
-  return engine_->traffic_mb_[lane_];
-}
-
-int BatchMemThroughputCounter::domain_count() {
-  return engine_->lanes_[lane_].params.domains();
-}
-
-double BatchMemThroughputCounter::domain_mb(int domain) {
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  if (domain < 0 || domain >= lane.params.domains()) {
-    throw common::ConfigError("SimMemThroughputCounter: domain out of range");
-  }
-  ++lane.meter.pcm_reads;
-  return engine_->domain_traffic_mb_[lane.domain_base + static_cast<std::size_t>(domain)];
-}
-
-int BatchUncoreDomainSet::domain_count() const {
-  return engine_->lanes_[lane_].params.domains();
-}
-
-void BatchUncoreDomainSet::check_domain(int domain) const {
-  if (domain < 0 || domain >= engine_->lanes_[lane_].params.domains()) {
-    throw common::ConfigError("SimUncoreDomainSet: domain out of range");
-  }
-}
-
-hw::DomainId BatchUncoreDomainSet::domain_id(int domain) const {
-  check_domain(domain);
-  const int dies = engine_->lanes_[lane_].params.dies_per_socket;
-  return hw::DomainId{domain / dies, domain % dies};
-}
-
-common::Ghz BatchUncoreDomainSet::min_ghz(int domain) {
-  check_domain(domain);
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  ++lane.meter.msr_reads;
-  return common::Ghz(lane.params.ladder.min_ghz());
-}
-
-common::Ghz BatchUncoreDomainSet::max_ghz(int domain) {
-  check_domain(domain);
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  ++lane.meter.msr_reads;
-  return common::Ghz(
-      engine_->uncore_[lane.domain_base + static_cast<std::size_t>(domain)]
-          .policy_limit_ghz);
-}
-
-common::Ghz BatchUncoreDomainSet::current_ghz(int domain) {
-  check_domain(domain);
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  ++lane.meter.msr_reads;
-  return common::Ghz(
-      engine_->uncore_[lane.domain_base + static_cast<std::size_t>(domain)].freq_ghz);
-}
-
-void BatchUncoreDomainSet::write_max_ghz(int domain, common::Ghz freq) {
-  check_domain(domain);
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  // Same access discipline as UncoreFreqController: read back the
-  // programmed limit, skip the write when it is already in place.
-  ++lane.meter.msr_reads;
-  kern::UncoreState& st =
-      engine_->uncore_[lane.domain_base + static_cast<std::size_t>(domain)];
-  const double target = lane.params.ladder.clamp_ghz(freq.value());
-  if (st.policy_limit_ghz == target) return;
-  kern::uncore_set_policy_limit(st, lane.params.ladder, target);
-  ++lane.meter.msr_writes;
-}
-
-void BatchUncoreDomainSet::write_min_ghz(int domain, common::Ghz freq) {
-  check_domain(domain);
-  (void)freq;
-  // The sim kernel models no min clamp; the ladder floor is the min.
-  throw common::CapabilityError("SimUncoreDomainSet: min clamp not modelled");
-}
-
-int BatchEnergyCounter::socket_count() const {
-  return engine_->lanes_[lane_].params.sockets;
-}
-
-double BatchEnergyCounter::pkg_energy_j(int socket) {
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  ++lane.meter.msr_reads;
-  return engine_->pkg_energy_j_[lane.socket_base + static_cast<std::size_t>(socket)];
-}
-
-double BatchEnergyCounter::dram_energy_j(int socket) {
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  ++lane.meter.msr_reads;
-  return engine_->dram_energy_j_[lane.socket_base + static_cast<std::size_t>(socket)];
-}
-
-int BatchGpuPowerSensor::gpu_count() const {
-  return engine_->lanes_[lane_].params.gpu.count;
-}
-
-double BatchGpuPowerSensor::power_w(int gpu) {
-  const BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  if (gpu < 0 || gpu >= lane.params.gpu.count) {
-    throw common::ConfigError("SimGpuPowerSensor: gpu out of range");
-  }
-  const kern::GpuState& st = engine_->gpu_[lane_];
-  return lane.params.gpu.count > 0 ? st.power_w / lane.params.gpu.count : 0.0;
-}
-
-double BatchGpuPowerSensor::energy_j(int gpu) {
-  const BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  if (gpu < 0 || gpu >= lane.params.gpu.count) {
-    throw common::ConfigError("SimGpuPowerSensor: gpu out of range");
-  }
-  return engine_->gpu_[lane_].energy_j / lane.params.gpu.count;
-}
-
-int BatchCoreCounters::core_count() const {
-  return engine_->lanes_[lane_].spec.cpu.total_cores();
-}
-
-std::uint64_t BatchCoreCounters::instructions_retired(int core) {
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  if (core < 0 || core >= core_count()) {
-    throw std::out_of_range("CoreModel: core index out of range");
-  }
-  ++lane.meter.msr_reads;
-  return static_cast<std::uint64_t>(engine_->core_[lane_].instructions) +
-         static_cast<std::uint64_t>(core) * 977u;
-}
-
-std::uint64_t BatchCoreCounters::cycles_unhalted(int core) {
-  BatchEngine::Lane& lane = engine_->lanes_[lane_];
-  if (core < 0 || core >= core_count()) {
-    throw std::out_of_range("CoreModel: core index out of range");
-  }
-  ++lane.meter.msr_reads;
-  return static_cast<std::uint64_t>(engine_->core_[lane_].cycles) +
-         static_cast<std::uint64_t>(core) * 1009u;
-}
-
-// --- engine ----------------------------------------------------------------
-
-namespace {
-constexpr double kNever = std::numeric_limits<double>::infinity();
-}  // namespace
-
-BatchEngine::Lane::Lane(BatchEngine& engine, std::size_t lane_index, SystemSpec system,
-                        wl::PhaseProgram prog, const EngineConfig& config)
-    : spec(std::move(system)),
-      program(std::move(prog)),
-      cfg(config),
-      params(kern::NodeParams::from_spec(spec)),
-      index(lane_index),
-      msr(engine, lane_index),
-      mem(engine, lane_index),
-      energy(engine, lane_index),
-      gpu_sensor(engine, lane_index),
-      cores(engine, lane_index),
-      domain_set(engine, lane_index) {}
 
 std::size_t BatchEngine::add_lane(const SystemSpec& system, wl::PhaseProgram program,
                                   const EngineConfig& cfg) {
   if (ran_) throw common::ConfigError("BatchEngine: add_lane after run_all");
-  program.validate();
-  if (cfg.tick_s <= 0.0 || cfg.record_dt_s <= 0.0) {
-    throw common::ConfigError("SimEngine: non-positive tick or record step");
-  }
-  if (cfg.record_traces) {
-    throw common::ConfigError(
-        "BatchEngine: trace recording is a per-node concern (use SimEngine)");
-  }
-
-  // Same spec validation NodeModel performs for SimEngine (same strings).
-  if (system.cpu.dies_per_socket < 1) {
-    throw common::ConfigError("NodeModel: dies_per_socket must be >= 1");
-  }
-  if (system.numa_skew < 0.0 || system.numa_skew >= 1.0) {
-    throw common::ConfigError("NodeModel: numa_skew must be in [0, 1)");
-  }
-  if (system.cpu.sockets * system.cpu.dies_per_socket > kern::kMaxDomains) {
-    throw common::ConfigError("NodeModel: sockets * dies_per_socket exceeds " +
-                              std::to_string(kern::kMaxDomains));
-  }
-
-  const std::size_t index = lanes_.size();
-  lanes_.emplace_back(*this, index, system, std::move(program), cfg);
-  Lane& lane = lanes_.back();
-  lane.executor.emplace(lane.program);  // deque: the program address is stable
-
-  lane.socket_base = firmware_.size();
-  lane.domain_base = uncore_.size();
-  const auto sockets = static_cast<std::size_t>(lane.params.sockets);
-  const auto domains = static_cast<std::size_t>(lane.params.domains());
-  lane.raw_0x620.resize(sockets);
-  for (std::size_t s = 0; s < sockets; ++s) {
-    firmware_.push_back(kern::init_firmware(lane.params.fw));
-    pkg_energy_j_.push_back(0.0);
-    dram_energy_j_.push_back(0.0);
-    last_pkg_w_.push_back(0.0);
-    hw::UncoreRatioLimit limit;
-    limit.max_ratio = lane.params.ladder.max_ratio();
-    limit.min_ratio = lane.params.ladder.min_ratio();
-    lane.raw_0x620[s] = limit.encode();
-  }
-  for (std::size_t d = 0; d < domains; ++d) {
-    uncore_.push_back(kern::init_uncore(lane.params.ladder));
-    domain_traffic_mb_.push_back(0.0);
-    domain_uncore_energy_j_.push_back(0.0);
-    domain_stretch_time_s_.push_back(0.0);
-  }
-  core_.push_back(kern::init_core(lane.params.core));
-  gpu_.push_back(kern::init_gpu(lane.params.gpu));
-  traffic_mb_.push_back(0.0);
-  rng_.emplace_back(cfg.seed);  // same noise stream SimEngine hands NodeModel
-  return index;
+  lanes_.emplace_back(system, std::move(program), cfg);
+  return lanes_.size() - 1;
 }
 
 void BatchEngine::set_hook(std::size_t lane, PolicyHook hook) {
   lanes_[lane].hook = std::move(hook);
 }
 
-hw::IMsrDevice& BatchEngine::msr(std::size_t lane) { return lanes_[lane].msr; }
-hw::IMemThroughputCounter& BatchEngine::mem_counter(std::size_t lane) {
-  return lanes_[lane].mem;
-}
-hw::IEnergyCounter& BatchEngine::energy_counter(std::size_t lane) {
-  return lanes_[lane].energy;
-}
-hw::IGpuPowerSensor& BatchEngine::gpu_sensor(std::size_t lane) {
-  return lanes_[lane].gpu_sensor;
-}
-hw::ICoreCounters& BatchEngine::core_counters(std::size_t lane) {
-  return lanes_[lane].cores;
-}
-hw::IUncoreDomainSet& BatchEngine::domains(std::size_t lane) {
-  return lanes_[lane].domain_set;
-}
-
-bool BatchEngine::lane_failed(std::size_t lane) const { return lanes_[lane].failed; }
-
-const std::string& BatchEngine::lane_error(std::size_t lane) const {
-  return lanes_[lane].error;
-}
-
-const SimResult& BatchEngine::result(std::size_t lane) const {
-  return lanes_[lane].result;
-}
-
-/// SoA lane view for kern::node_tick. Per-socket state resolves through the
-/// lane's socket base, per-domain state through its domain base, per-lane
-/// state through the lane index.
-struct BatchEngine::SoaLane {
-  BatchEngine& e;
-  std::size_t lane;
-  std::size_t base;
-  std::size_t dbase;
-
-  [[nodiscard]] kern::UncoreState& uncore(int d) const {
-    return e.uncore_[dbase + static_cast<std::size_t>(d)];
-  }
-  [[nodiscard]] kern::FirmwareState& firmware(int s) const {
-    return e.firmware_[base + static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] kern::CoreState& core() const { return e.core_[lane]; }
-  [[nodiscard]] kern::GpuState& gpu() const { return e.gpu_[lane]; }
-  [[nodiscard]] double& pkg_energy(int s) const {
-    return e.pkg_energy_j_[base + static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] double& dram_energy(int s) const {
-    return e.dram_energy_j_[base + static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] double& last_pkg_w(int s) const {
-    return e.last_pkg_w_[base + static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] double& traffic_mb() const { return e.traffic_mb_[lane]; }
-  [[nodiscard]] common::Rng& rng() const { return e.rng_[lane]; }
-  [[nodiscard]] double& domain_traffic_mb(int d) const {
-    return e.domain_traffic_mb_[dbase + static_cast<std::size_t>(d)];
-  }
-  [[nodiscard]] double& domain_uncore_energy(int d) const {
-    return e.domain_uncore_energy_j_[dbase + static_cast<std::size_t>(d)];
-  }
-  [[nodiscard]] double& domain_stretch_time(int d) const {
-    return e.domain_stretch_time_s_[dbase + static_cast<std::size_t>(d)];
-  }
-};
-
-void BatchEngine::start_lane(Lane& lane) {
-  lane.result.policy_name = lane.hook.name;
-  lane.max_sim = lane.cfg.max_sim_s > 0.0
-                     ? lane.cfg.max_sim_s
-                     : 4.0 * lane.program.nominal_duration_s() + 30.0;
-  lane.next_sample_t = lane.hook.on_sample ? lane.hook.period_s : kNever;
-  if (lane.hook.on_start) {
-    try {
-      lane.hook.on_start(common::Seconds(0.0));
-    } catch (const std::exception& e) {
-      lane.failed = true;
-      lane.error = e.what();
-    }
-  }
-}
-
-bool BatchEngine::step_lane(std::size_t index) {
-  Lane& lane = lanes_[index];
-
-  // Run the lane's tick loop up to its next policy boundary with the loop
-  // state held in locals, so the ~150+ ticks between boundaries pay no
-  // per-tick bookkeeping beyond what SimEngine::run pays. The monitor
-  // charge fields only change at boundaries, so hoisting them is exact.
-  ProgramExecutor& exec = *lane.executor;
-  const double dt = lane.cfg.tick_s;
-  const SoaLane view{*this, index, lane.socket_base, lane.domain_base};
-  const double max_sim = lane.max_sim;
-  const double next_sample_t = lane.next_sample_t;
-  const double monitor_busy_until = lane.monitor_busy_until;
-  const double monitor_power_w = lane.monitor_power_w;
-  double t = lane.t;
-  unsigned long long ticks = lane.ticks;
-  bool finished = false;
-  // magus:hot-path-begin
-  for (;;) {
-    if (exec.done() || t >= max_sim) {
-      finished = true;
-      break;
-    }
-    const WorkSlice slice = exec.slice();
-    const double extra_w = (t < monitor_busy_until) ? monitor_power_w : 0.0;
-    const TickOutput out = kern::node_tick(view, lane.params, dt, slice, extra_w);
-    exec.advance(dt * out.progress_rate);
-    ++ticks;
-    t += dt;
-    if (t >= next_sample_t) break;
-  }
-  // magus:hot-path-end
-  lane.t = t;
-  lane.ticks = ticks;
-  if (finished) {
-    finish_lane(lane);
-    return true;
-  }
-
-  // Sample boundary: invoke the policy and charge its measured cost,
-  // exactly as SimEngine::run does. A throwing policy fails this lane only.
+bool BatchEngine::step_lane(Lane& lane) {
   try {
-    const AccessMeter before = lane.meter;
-    lane.hook.on_sample(common::Seconds(lane.t));
-    const CpuSpec& cpu = lane.spec.cpu;
-    const auto msr_delta = (lane.meter.msr_reads - before.msr_reads) +
-                           (lane.meter.msr_writes - before.msr_writes);
-    const auto pcm_delta = lane.meter.pcm_reads - before.pcm_reads;
-    const double cost = static_cast<double>(msr_delta) * cpu.msr_read_latency_s +
-                        static_cast<double>(pcm_delta) * cpu.pcm_read_latency_s;
-    const double equiv_reads = static_cast<double>(msr_delta) +
-                               cpu.pcm_equivalent_reads * static_cast<double>(pcm_delta);
-    lane.monitor_power_w =
-        cpu.monitor_base_power_w + cpu.monitor_per_read_power_w * equiv_reads;
-    lane.monitor_busy_until = lane.t + cost;
-    ++lane.result.invocations;
-    lane.result.total_invocation_s += cost;
-    lane.next_sample_t = lane.t + cost + lane.hook.period_s;
-  } catch (const std::exception& e) {
-    lane.failed = true;
-    lane.error = e.what();
-    return true;
+    if (!lane.engine.advance()) return false;
+    lane.result = lane.engine.finish();
+    total_ticks_ += lane.result.ticks;
+  } catch (...) {
+    lane.fail();
   }
-  return false;
-}
-
-void BatchEngine::finish_lane(Lane& lane) {
-  const std::size_t base = lane.socket_base;
-  const auto sockets = static_cast<std::size_t>(lane.params.sockets);
-  lane.result.completed = lane.executor->done();
-  lane.result.duration_s = lane.t;
-  lane.result.ticks = lane.ticks;
-  double pkg = 0.0;
-  double dram = 0.0;
-  for (std::size_t s = 0; s < sockets; ++s) {
-    pkg += pkg_energy_j_[base + s];
-    dram += dram_energy_j_[base + s];
-  }
-  lane.result.pkg_energy_j = pkg;
-  lane.result.dram_energy_j = dram;
-  lane.result.gpu_energy_j = gpu_[lane.index].energy_j;
-  if (lane.t > 0.0) {
-    lane.result.avg_pkg_power_w = lane.result.pkg_energy_j / lane.t;
-    lane.result.avg_dram_power_w = lane.result.dram_energy_j / lane.t;
-    lane.result.avg_gpu_power_w = lane.result.gpu_energy_j / lane.t;
-  }
-  lane.result.accesses = lane.meter;
-  const auto domains = static_cast<std::size_t>(lane.params.domains());
-  lane.result.domain_uncore_energy_j.resize(domains);
-  lane.result.domain_stretch_time_s.resize(domains);
-  lane.result.domain_traffic_mb.resize(domains);
-  for (std::size_t d = 0; d < domains; ++d) {
-    lane.result.domain_uncore_energy_j[d] = domain_uncore_energy_j_[lane.domain_base + d];
-    lane.result.domain_stretch_time_s[d] = domain_stretch_time_s_[lane.domain_base + d];
-    lane.result.domain_traffic_mb[d] = domain_traffic_mb_[lane.domain_base + d];
-  }
-  total_ticks_ += lane.ticks;
+  return true;
 }
 
 void BatchEngine::run_all() {
   if (ran_) throw common::ConfigError("BatchEngine: run_all called twice");
   ran_ = true;
 
-  for (std::size_t i = 0; i < lanes_.size(); ++i) start_lane(lanes_[i]);
+  for (Lane& lane : lanes_) {
+    try {
+      lane.engine.start(lane.hook);
+    } catch (...) {
+      lane.fail();
+    }
+  }
 
-  // Blocked tick-major: advance a cache-sized block of lanes one tick per
-  // pass and drain the block before moving to the next. The block's hot rows
-  // stay resident instead of re-streaming the whole shard's state on every
-  // tick; lanes are independent, so neither the grouping nor the compaction
-  // order below can affect results.
+  // Blocked scheduling: step a cache-sized block of lanes round-robin and
+  // drain it before moving to the next, so the block's engines stay
+  // resident. Lanes are independent, so neither the grouping nor the
+  // compaction order below can affect results.
   constexpr std::size_t kLaneBlock = 32;
-  std::vector<std::size_t> active;
+  std::vector<Lane*> active;
   active.reserve(kLaneBlock);
-  // The whole blocked tick sweep is a lock-free hot section: step_lane is
+  // The whole sweep is a lock-free hot section: step_lane is
   // MAGUS_LOCK_FREE, and this scope is what grants it the hot-path role.
   const common::HotPathSection hot_section;
   for (std::size_t block = 0; block < lanes_.size(); block += kLaneBlock) {
     const std::size_t end = std::min(lanes_.size(), block + kLaneBlock);
     active.clear();
     for (std::size_t i = block; i < end; ++i) {
-      if (!lanes_[i].failed) active.push_back(i);
+      if (!lanes_[i].error) active.push_back(&lanes_[i]);
     }
     while (!active.empty()) {
       for (std::size_t k = 0; k < active.size();) {
-        if (step_lane(active[k])) {
+        if (step_lane(*active[k])) {
           active[k] = active.back();
           active.pop_back();
         } else {

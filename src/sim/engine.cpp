@@ -1,29 +1,39 @@
 #include "magus/sim/engine.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "magus/common/error.hpp"
-#include "magus/sim/program_executor.hpp"
 #include "magus/telemetry/registry.hpp"
 
 namespace magus::sim {
 
+namespace {
+// Disabled tracing / sampling is "scheduled at infinity": the hot loop
+// then pays a single always-false double compare instead of re-testing
+// std::function presence every tick.
+constexpr double kNever = std::numeric_limits<double>::infinity();
+}  // namespace
+
 SimEngine::SimEngine(SystemSpec spec, wl::PhaseProgram program, EngineConfig cfg)
-    : spec_(std::move(spec)),
-      program_(std::move(program)),
+    : program_(std::move(program)),
       cfg_(cfg),
-      node_(spec_, cfg.seed) {
+      node_(std::move(spec), cfg.seed),
+      msr_(node_, meter_),
+      mem_counter_(node_, meter_),
+      energy_counter_(node_, meter_),
+      gpu_sensor_(node_),
+      core_counters_(node_, meter_),
+      domains_(node_, meter_) {
   program_.validate();
   if (cfg_.tick_s <= 0.0 || cfg_.record_dt_s <= 0.0) {
     throw common::ConfigError("SimEngine: non-positive tick or record step");
   }
-  msr_ = std::make_unique<SimMsrDevice>(node_, meter_);
-  mem_counter_ = std::make_unique<SimMemThroughputCounter>(node_, meter_);
-  energy_counter_ = std::make_unique<SimEnergyCounter>(node_, meter_);
-  gpu_sensor_ = std::make_unique<SimGpuPowerSensor>(node_);
-  core_counters_ = std::make_unique<SimCoreCounters>(node_, meter_);
-  domains_ = std::make_unique<SimUncoreDomainSet>(node_, meter_);
+  if (cfg_.record_traces) {
+    for (int c = 0; c < cfg_.display_cores; ++c) {
+      core_channels_.push_back(std::string(trace::channel::kCoreFreq) + "_" +
+                               std::to_string(c));
+    }
+  }
 }
 
 void SimEngine::attach_telemetry(telemetry::MetricsRegistry& reg) {
@@ -36,80 +46,127 @@ void SimEngine::attach_telemetry(telemetry::MetricsRegistry& reg) {
 }
 
 SimResult SimEngine::run(const PolicyHook& policy) {
-  SimResult result;
-  result.policy_name = policy.name;
-  std::uint64_t ticks = 0;  // flushed to telemetry after the loop
-
-  const double max_sim =
-      cfg_.max_sim_s > 0.0 ? cfg_.max_sim_s : 4.0 * program_.nominal_duration_s() + 30.0;
-  const CpuSpec& cpu = spec_.cpu;
-
-  ProgramExecutor executor(program_);
-
-  if (policy.on_start) policy.on_start(common::Seconds(0.0));
-
-  // Disabled telemetry / sampling is "scheduled at infinity": the hot loop
-  // then pays a single always-false double compare instead of re-testing
-  // std::function presence every tick (measured by bench/fleet_throughput).
-  constexpr double kNever = std::numeric_limits<double>::infinity();
-  double t = 0.0;
-  double next_sample_t = policy.on_sample ? policy.period_s : kNever;
-  double monitor_busy_until = 0.0;
-  double monitor_power_w = 0.0;
-  double next_record_t = cfg_.record_traces ? 0.0 : kNever;
-
-  while (!executor.done() && t < max_sim) {
-    const double dt = cfg_.tick_s;
-    const WorkSlice slice = executor.slice();
-    const double extra_w = (t < monitor_busy_until) ? monitor_power_w : 0.0;
-    const TickOutput out = node_.tick(common::Seconds(t), dt, slice, extra_w);
-    executor.advance(dt * out.progress_rate);
-    ++ticks;
-
-    if (t >= next_record_t) {
-      recorder_.record(trace::channel::kMemThroughput, t, out.delivered_mbps);
-      recorder_.record(trace::channel::kMemDemand, t, slice.demand_mbps);
-      recorder_.record(trace::channel::kUncoreFreq, t, out.uncore_freq_ghz);
-      recorder_.record(trace::channel::kPkgPower, t, out.pkg_power_w);
-      recorder_.record(trace::channel::kDramPower, t, out.dram_power_w);
-      recorder_.record(trace::channel::kGpuPower, t, out.gpu_power_w);
-      recorder_.record(trace::channel::kGpuClock, t, node_.gpu().clock_ghz());
-      recorder_.record(trace::channel::kTotalPower, t,
-                       out.pkg_power_w + out.dram_power_w + out.gpu_power_w);
-      for (int c = 0; c < cfg_.display_cores; ++c) {
-        recorder_.record(std::string(trace::channel::kCoreFreq) + "_" + std::to_string(c),
-                         t, node_.cores().display_freq_ghz(c, common::Seconds(t)));
-      }
-      next_record_t = t + cfg_.record_dt_s;
-    }
-
-    t += dt;
-
-    if (t >= next_sample_t) {
-      const AccessMeter before = meter_;
-      policy.on_sample(common::Seconds(t));
-      const auto msr_delta =
-          (meter_.msr_reads - before.msr_reads) + (meter_.msr_writes - before.msr_writes);
-      const auto pcm_delta = meter_.pcm_reads - before.pcm_reads;
-      const double cost = static_cast<double>(msr_delta) * cpu.msr_read_latency_s +
-                          static_cast<double>(pcm_delta) * cpu.pcm_read_latency_s;
-      const double equiv_reads = static_cast<double>(msr_delta) +
-                                 cpu.pcm_equivalent_reads * static_cast<double>(pcm_delta);
-      monitor_power_w = cpu.monitor_base_power_w + cpu.monitor_per_read_power_w * equiv_reads;
-      monitor_busy_until = t + cost;
-      ++result.invocations;
-      result.total_invocation_s += cost;
-      // Next monitoring cycle starts `period` after this invocation returns
-      // (paper section 6.5: 0.1 s invocation + 0.2 s period = 0.3 s cadence).
-      next_sample_t = t + cost + policy.period_s;
-      // Live progress for a scraping exporter, keyed on sim time only.
-      telemetry::set(m_sim_time_, t);
-    }
+  // The whole run is a lock-free hot section: advance is MAGUS_LOCK_FREE,
+  // and this scope is what grants it the hot-path role.
+  const common::HotPathSection hot_section;
+  start(policy);
+  while (!advance()) {
   }
+  return finish();
+}
 
-  result.completed = executor.done();
+void SimEngine::start(const PolicyHook& policy) {
+  hook_ = &policy;
+  result_ = SimResult{};
+  result_.policy_name = policy.name;
+  executor_.emplace(program_);
+  t_ = 0.0;
+  ticks_ = 0;
+  max_sim_ =
+      cfg_.max_sim_s > 0.0 ? cfg_.max_sim_s : 4.0 * program_.nominal_duration_s() + 30.0;
+  next_sample_t_ = policy.on_sample ? policy.period_s : kNever;
+  next_record_t_ = cfg_.record_traces ? 0.0 : kNever;
+  monitor_busy_until_ = 0.0;
+  monitor_power_w_ = 0.0;
+  if (policy.on_start) policy.on_start(common::Seconds(0.0));
+}
+
+bool SimEngine::advance() {
+  // Run the tick loop up to the next policy boundary with the loop state
+  // held in locals, so the ~150 ticks between boundaries pay no member
+  // loads or stores. The monitor charge only changes at boundaries, so
+  // holding it constant here is exact.
+  ProgramExecutor& exec = *executor_;
+  const double dt = cfg_.tick_s;
+  const double max_sim = max_sim_;
+  const double next_sample_t = next_sample_t_;
+  const double monitor_busy_until = monitor_busy_until_;
+  const double monitor_power_w = monitor_power_w_;
+  double next_record_t = next_record_t_;
+  double t = t_;
+  unsigned long long ticks = ticks_;
+  WorkSlice slice;
+  TickOutput out;
+  bool finished = false;
+  for (;;) {
+    bool record = false;
+    // magus:hot-path-begin
+    for (;;) {
+      if (exec.done() || t >= max_sim) {
+        finished = true;
+        break;
+      }
+      slice = exec.slice();
+      const double extra_w = (t < monitor_busy_until) ? monitor_power_w : 0.0;
+      out = node_.tick(common::Seconds(t), dt, slice, extra_w);
+      exec.advance(dt * out.progress_rate);
+      ++ticks;
+      if (t >= next_record_t) {
+        record = true;
+        break;
+      }
+      t += dt;
+      if (t >= next_sample_t) break;
+    }
+    // magus:hot-path-end
+    if (!record) break;
+    record_tick(t, slice, out);
+    next_record_t = t + cfg_.record_dt_s;
+    t += dt;
+    if (t >= next_sample_t) break;
+  }
+  t_ = t;
+  ticks_ = ticks;
+  next_record_t_ = next_record_t;
+  if (finished) return true;
+  sample();
+  return false;
+}
+
+void SimEngine::record_tick(double t, const WorkSlice& slice, const TickOutput& out) {
+  recorder_.record(trace::channel::kMemThroughput, t, out.delivered_mbps);
+  recorder_.record(trace::channel::kMemDemand, t, slice.demand_mbps);
+  recorder_.record(trace::channel::kUncoreFreq, t, out.uncore_freq_ghz);
+  recorder_.record(trace::channel::kPkgPower, t, out.pkg_power_w);
+  recorder_.record(trace::channel::kDramPower, t, out.dram_power_w);
+  recorder_.record(trace::channel::kGpuPower, t, out.gpu_power_w);
+  recorder_.record(trace::channel::kGpuClock, t, node_.gpu().clock_ghz());
+  recorder_.record(trace::channel::kTotalPower, t,
+                   out.pkg_power_w + out.dram_power_w + out.gpu_power_w);
+  for (std::size_t c = 0; c < core_channels_.size(); ++c) {
+    recorder_.record(core_channels_[c], t,
+                     node_.cores().display_freq_ghz(static_cast<int>(c), common::Seconds(t)));
+  }
+}
+
+void SimEngine::sample() {
+  const CpuSpec& cpu = node_.spec().cpu;
+  const AccessMeter before = meter_;
+  hook_->on_sample(common::Seconds(t_));
+  const auto msr_delta =
+      (meter_.msr_reads - before.msr_reads) + (meter_.msr_writes - before.msr_writes);
+  const auto pcm_delta = meter_.pcm_reads - before.pcm_reads;
+  const double cost = static_cast<double>(msr_delta) * cpu.msr_read_latency_s +
+                      static_cast<double>(pcm_delta) * cpu.pcm_read_latency_s;
+  const double equiv_reads = static_cast<double>(msr_delta) +
+                             cpu.pcm_equivalent_reads * static_cast<double>(pcm_delta);
+  monitor_power_w_ = cpu.monitor_base_power_w + cpu.monitor_per_read_power_w * equiv_reads;
+  monitor_busy_until_ = t_ + cost;
+  ++result_.invocations;
+  result_.total_invocation_s += cost;
+  // Next monitoring cycle starts `period` after this invocation returns
+  // (paper section 6.5: 0.1 s invocation + 0.2 s period = 0.3 s cadence).
+  next_sample_t_ = t_ + cost + hook_->period_s;
+  // Live progress for a scraping exporter, keyed on sim time only.
+  telemetry::set(m_sim_time_, t_);
+}
+
+SimResult SimEngine::finish() {
+  SimResult& result = result_;
+  const double t = t_;
+  result.completed = executor_->done();
   result.duration_s = t;
-  result.ticks = ticks;
+  result.ticks = ticks_;
   result.pkg_energy_j = node_.total_pkg_energy_j();
   result.dram_energy_j = node_.total_dram_energy_j();
   result.gpu_energy_j = node_.gpu().energy_j();
@@ -131,11 +188,12 @@ SimResult SimEngine::run(const PolicyHook& policy) {
     result.domain_traffic_mb[static_cast<std::size_t>(d)] = node_.domain_traffic_mb(d);
   }
 
-  telemetry::inc(m_steps_, ticks);
+  telemetry::inc(m_steps_, ticks_);
   telemetry::inc(m_invocations_, result.invocations);
   telemetry::inc(m_runs_);
   telemetry::set(m_sim_time_, t);
-  return result;
+  hook_ = nullptr;
+  return std::move(result_);
 }
 
 }  // namespace magus::sim

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "magus/common/fixed_window.hpp"
 
@@ -119,3 +120,37 @@ TEST_P(FixedWindowSlide, HoldsMostRecentValues) {
 INSTANTIATE_TEST_SUITE_P(Sweep, FixedWindowSlide,
                          ::testing::Combine(::testing::Values(1, 2, 3, 10, 64),
                                             ::testing::Values(0, 1, 5, 10, 100)));
+
+// The ring must sum in FIFO order (oldest to newest) however far it has
+// wrapped: doubles of mixed magnitude make any other order visible.
+TEST(FixedWindow, RingSumMatchesFifoOrderBitExactly) {
+  mc::FixedWindow<double> w(7);
+  std::vector<double> fifo;
+  for (int i = 0; i < 100; ++i) {
+    const double v = (i % 3 == 0 ? 1e16 : 1.0) * (i % 2 == 0 ? 1.0 : -1.0) + 0.1 * i;
+    w.push(v);
+    fifo.push_back(v);
+    if (fifo.size() > 7) fifo.erase(fifo.begin());
+    double expect = 0.0;
+    for (double x : fifo) expect = expect + x;
+    ASSERT_EQ(w.sum(), expect) << "after push " << i;
+    ASSERT_EQ(w.oldest(), fifo.front());
+    ASSERT_EQ(w.newest(), fifo.back());
+  }
+}
+
+TEST(FixedWindow, FillAndClearAfterWrapRestartAtTheOldest) {
+  mc::FixedWindow<int> w(3);
+  for (int i = 0; i < 5; ++i) w.push(i);  // head has wrapped
+  w.fill(2);
+  w.push(9);
+  EXPECT_EQ(w.oldest(), 2);
+  EXPECT_EQ(w.newest(), 9);
+  EXPECT_EQ(w.sum(), 13);
+  w.clear();
+  w.push(4);
+  w.push(5);
+  EXPECT_EQ(w.size(), 2u);
+  EXPECT_EQ(w[0], 4);
+  EXPECT_EQ(w[1], 5);
+}

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "magus/common/error.hpp"
@@ -66,4 +67,57 @@ TEST(Parse, ParseIntListIntLimits) {
 
 TEST(Parse, ParseIntListLongLists) {
   EXPECT_EQ(mc::parse_int_list("1,-2,3,-4,5"), (std::vector<int>{1, -2, 3, -4, 5}));
+}
+
+// --- parse_flags ------------------------------------------------------------
+
+namespace {
+const mc::FlagSpec kSpec{{"nodes", "out", "jobs"}, {"dry-run"}};
+
+std::string flag_error(const std::vector<std::string>& args) {
+  try {
+    (void)mc::parse_flags(args, kSpec);
+  } catch (const mc::ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+}  // namespace
+
+TEST(ParseFlags, ValuedFlagsAndSwitches) {
+  const auto flags = mc::parse_flags({"--nodes", "8", "--dry-run", "--out", "-"}, kSpec);
+  EXPECT_EQ(flags.size(), 3u);
+  EXPECT_EQ(flags.at("nodes"), "8");
+  EXPECT_EQ(flags.at("dry-run"), "1");
+  EXPECT_EQ(flags.at("out"), "-");  // a lone dash is a value, not a flag
+  EXPECT_TRUE(mc::parse_flags({}, kSpec).empty());
+}
+
+TEST(ParseFlags, TrailingValuedFlagWithoutValueIsRejected) {
+  // `fleet --nodes 8 --out x.jsonl --jobs` once dropped --jobs silently.
+  const std::string err = flag_error({"--nodes", "8", "--out", "x.jsonl", "--jobs"});
+  EXPECT_NE(err.find("missing value"), std::string::npos) << err;
+  EXPECT_NE(err.find("--jobs"), std::string::npos) << err;
+}
+
+TEST(ParseFlags, ValuedFlagFollowedByFlagIsRejected) {
+  const std::string err = flag_error({"--jobs", "--out", "x.jsonl"});
+  EXPECT_NE(err.find("missing value for flag '--jobs'"), std::string::npos) << err;
+}
+
+TEST(ParseFlags, UnknownFlagIsRejected) {
+  // `run ... --bogus 1` was once accepted.
+  const std::string err = flag_error({"--nodes", "8", "--bogus", "1"});
+  EXPECT_NE(err.find("unknown flag '--bogus'"), std::string::npos) << err;
+  // A switch is not a valued flag, and a valued flag is not a switch.
+  EXPECT_NE(flag_error({"--dry-run", "1"}).find("expected a flag, got '1'"),
+            std::string::npos);
+}
+
+TEST(ParseFlags, BareWordAndRepeatedFlagAreRejected) {
+  EXPECT_NE(flag_error({"nodes", "8"}).find("expected a flag, got 'nodes'"),
+            std::string::npos);
+  EXPECT_NE(flag_error({"--nodes", "8", "--nodes", "9"}).find("repeated flag '--nodes'"),
+            std::string::npos);
+  EXPECT_NE(flag_error({"--dry-run", "--dry-run"}).find("repeated flag"), std::string::npos);
 }

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Stdout purity of `magus-cli fleet --out -`.
+"""Stdout purity of `magus-cli fleet --out -`, and strict flag parsing.
 
 When the rollup streams to stdout, every human-facing line -- banner, tables,
 summary, and warnings (including the shard-size clamp warning, which once
 went to stdout and corrupted piped JSONL) -- must land on stderr, leaving
 stdout a parseable JSONL document and nothing else.
+
+A malformed command line (a trailing flag with no value, a flag the command
+does not take) must fail with exit code 2 and name the flag, before any
+simulation runs or any output file is written.
 
 Usage: test_cli_stream.py <path-to-magus-cli>
 """
@@ -85,6 +89,28 @@ def check_stream_matches_file(cli, tmpdir):
     print("ok: streamed rollup matches the on-disk rollup byte for byte")
 
 
+def check_strict_flags(cli, tmpdir):
+    out = tmpdir + "/never.jsonl"
+    cases = [
+        (["fleet", "--nodes", "8", "--out", out, "--jobs"], "--jobs"),
+        (["run", "--system", "intel_a100", "--app", "bfs", "--policy", "magus",
+          "--bogus", "1"], "--bogus"),
+    ]
+    for args, flag in cases:
+        proc = subprocess.run([cli] + args, capture_output=True, text=True,
+                              timeout=600, check=False)
+        if proc.returncode != 2:
+            raise SystemExit(f"FAIL: {' '.join(args)} exited {proc.returncode}, not 2")
+        if flag not in proc.stderr:
+            raise SystemExit(f"FAIL: error for {' '.join(args)} does not name {flag}: "
+                             f"{proc.stderr!r}")
+    import os
+
+    if os.path.exists(out):
+        raise SystemExit("FAIL: a rejected command line still wrote --out")
+    print("ok: malformed flags exit 2 and name the flag")
+
+
 def main():
     if len(sys.argv) < 2:
         raise SystemExit("usage: test_cli_stream.py <path-to-magus-cli>")
@@ -94,6 +120,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmpdir:
         check_stream_purity(cli)
         check_stream_matches_file(cli, tmpdir)
+        check_strict_flags(cli, tmpdir)
     print("PASS")
 
 

@@ -20,26 +20,28 @@
 //       per-policy rollups (Joules saved vs an all-default fleet, slowdown
 //       percentiles). Without --manifest a deterministic synthetic fleet of
 //       --nodes nodes is generated. Rollups are bit-identical for any
-//       --jobs count and either engine (batch, the default, advances each
-//       shard through the SoA kernel; per-node is the one-engine-per-run
-//       oracle); --out writes the canonical JSONL dump ("-" streams it to
-//       stdout with all human output on stderr). --power-budget water-fills
-//       a global Watts budget across nodes per --budget-epoch of simulated
-//       time; --policy/--power-cap rewrite every node, so a saved fleet can
-//       be replayed under a cap-aware comparator.
+//       --jobs count and either --engine value (both run every node on the
+//       same simulator loop; batch schedules a shard's runs together,
+//       per-node runs them one by one); --out writes the canonical JSONL
+//       dump ("-" streams it to stdout with all human output on stderr).
+//       --power-budget water-fills a global Watts budget across nodes per
+//       --budget-epoch of simulated time; --policy/--power-cap rewrite every
+//       node, so a saved fleet can be replayed under a cap-aware comparator.
 //
-// Exit codes: 0 ok, 1 usage error, 2 runtime error.
+// Exit codes: 0 ok, 1 usage error (no command, or a required flag missing),
+// 2 error (including an unknown, repeated or value-less flag).
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "magus/common/error.hpp"
-#include "magus/core/policy_factory.hpp"
+#include "magus/common/parse.hpp"
 #include "magus/common/table.hpp"
 #include "magus/common/thread_pool.hpp"
+#include "magus/core/policy_factory.hpp"
 #include "magus/exp/evaluation.hpp"
 #include "magus/fleet/runner.hpp"
 #include "magus/telemetry/registry.hpp"
@@ -61,8 +63,8 @@ int usage() {
             << "                [--metrics-out metrics.prom]\n"
             << "  magus-cli overhead --system <name> [--duration seconds]\n"
             << "  magus-cli fleet [--nodes N] [--seed S] [--jobs N] [--shard-size N]\n"
-            << "                  [--engine batch|per-node]   (same results, batch is "
-               "faster)\n"
+            << "                  [--engine batch|per-node]   (same simulator, same "
+               "results)\n"
             << "                  [--manifest in.jsonl] [--save-manifest out.jsonl] "
                "[--out rollup.jsonl|-]\n"
             << "                  [--fault-rate P] [--fault-seed S]   (deterministic "
@@ -83,16 +85,15 @@ int usage() {
   return 1;
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) {
-  std::map<std::string, std::string> flags;
-  for (int i = from; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      throw common::ConfigError(std::string("expected flag, got '") + argv[i] + "'");
-    }
-    flags[argv[i] + 2] = argv[i + 1];
-  }
-  return flags;
-}
+// The flags each command accepts; anything else is a usage error.
+const common::FlagSpec kRunFlags{
+    {"system", "app", "policy", "reps", "seed", "gpus", "jobs", "trace", "metrics-out"}, {}};
+const common::FlagSpec kOverheadFlags{{"system", "duration"}, {}};
+const common::FlagSpec kFleetFlags{
+    {"nodes", "seed", "jobs", "shard-size", "engine", "manifest", "save-manifest", "out",
+     "fault-rate", "fault-seed", "dies", "numa-skew", "policy", "power-cap", "power-budget",
+     "budget-epoch"},
+    {}};
 
 int cmd_list() {
   std::cout << "systems:\n";
@@ -386,17 +387,22 @@ int cmd_overhead(const std::map<std::string, std::string>& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  const std::vector<std::string> args(argv + 2, argv + argc);
   try {
-    if (cmd == "list") return cmd_list();
-    const auto flags = parse_flags(argc, argv, 2);
+    if (cmd == "list") {
+      (void)common::parse_flags(args, {});
+      return cmd_list();
+    }
     if (cmd == "run") {
+      const auto flags = common::parse_flags(args, kRunFlags);
       if (!flags.count("system") || !flags.count("app") || !flags.count("policy")) {
         return usage();
       }
       return cmd_run(flags);
     }
-    if (cmd == "fleet") return cmd_fleet(flags);
+    if (cmd == "fleet") return cmd_fleet(common::parse_flags(args, kFleetFlags));
     if (cmd == "overhead") {
+      const auto flags = common::parse_flags(args, kOverheadFlags);
       if (!flags.count("system")) return usage();
       return cmd_overhead(flags);
     }

@@ -3,7 +3,7 @@
 // background, samples memory throughput every 0.2 s, and rewrites the MSR
 // 0x620 max-ratio field. Users never interact with it.
 //
-//   magus-daemon --simulate [--app unet] [--seconds 30]
+//   magus-daemon --simulate [--app unet]
 //                [--metrics-port N] [--events-out file]
 //       Demonstration mode: runs the identical control loop against the
 //       simulated Intel+A100 node and prints each decision. Works anywhere.
@@ -38,15 +38,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <deque>
-#include <thread>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "magus/common/error.hpp"
@@ -72,7 +72,7 @@ void handle_signal(int) { g_stop = 1; }
 
 int usage() {
   std::cerr << "usage:\n"
-            << "  magus-daemon --simulate [--app unet] [--seconds 30]\n"
+            << "  magus-daemon --simulate [--app unet]\n"
             << "               [--metrics-port N] [--events-out file]\n"
             << "  magus-daemon --fleet --metrics-port N [--jobs N] [--events-out file]\n"
             << "  magus-daemon --throughput-file <path> [--interval 0.2]\n"
@@ -83,23 +83,13 @@ int usage() {
   return 1;
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      throw common::ConfigError(std::string("expected flag, got '") + argv[i] + "'");
-    }
-    const std::string key = argv[i] + 2;
-    if (key == "simulate" || key == "dry-run" || key == "fleet") {
-      flags[key] = "1";
-    } else if (i + 1 < argc) {
-      flags[key] = argv[++i];
-    } else {
-      throw common::ConfigError("flag --" + key + " needs a value");
-    }
-  }
-  return flags;
-}
+// The flags each mode accepts; anything else is an error.
+const common::FlagSpec kSimulateFlags{{"app", "metrics-port", "events-out"}, {"simulate"}};
+const common::FlagSpec kFleetFlags{{"metrics-port", "jobs", "events-out"}, {"fleet"}};
+const common::FlagSpec kRealFlags{{"throughput-file", "interval", "min-ghz", "max-ghz",
+                                   "sockets", "metrics-port", "events-out",
+                                   "max-sample-failures"},
+                                  {"dry-run"}};
 
 std::vector<int> parse_cpu_list(const std::string& s) {
   const std::vector<int> cpus = common::parse_int_list(s);
@@ -294,8 +284,8 @@ class FleetService {
       res.body = std::string(e.what()) + "\n";
       return res;
     }
-    // ?engine=batch|per-node picks the tick path; both yield byte-identical
-    // rollups, so this is a throughput knob, not a semantics knob.
+    // ?engine=batch|per-node picks how a shard's runs are scheduled; both
+    // run the same simulator loop and yield byte-identical rollups.
     fleet::FleetEngine engine = fleet::FleetEngine::kBatch;
     const std::string engine_name = query_param(req.query, "engine");
     if (engine_name == "per-node") {
@@ -593,11 +583,14 @@ int run_real(const std::map<std::string, std::string>& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  const auto has = [&args](const char* flag) {
+    return std::find(args.begin(), args.end(), flag) != args.end();
+  };
   try {
-    const auto flags = parse_flags(argc, argv);
-    if (flags.count("simulate")) return run_simulated(flags);
-    if (flags.count("fleet")) return run_fleet(flags);
-    if (flags.count("throughput-file")) return run_real(flags);
+    if (has("--simulate")) return run_simulated(common::parse_flags(args, kSimulateFlags));
+    if (has("--fleet")) return run_fleet(common::parse_flags(args, kFleetFlags));
+    if (has("--throughput-file")) return run_real(common::parse_flags(args, kRealFlags));
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
