@@ -1,6 +1,6 @@
 #pragma once
 // EcoShift-style comparator: performance-aware uncore management under a
-// per-node power cap (PAPERS.md -- the power-capped datacenter baseline the
+// node power cap (PAPERS.md -- the power-capped datacenter baseline the
 // paper's evaluation lacked).
 //
 // EcoShift watches two signals every period: measured node power (RAPL

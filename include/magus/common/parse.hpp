@@ -1,11 +1,16 @@
 #pragma once
-// Strict parsers for command lines and CLI flag values. The std::sto*
-// family accepts trailing garbage and throws bare std::invalid_argument;
-// these helpers reject both and throw ConfigError naming the offending token.
+// Strict parsers for command lines and every untrusted number (flag values,
+// daemon query values, manifest fields). The std::sto* family accepts
+// trailing garbage, signs on unsigned values and inf/nan, and throws bare
+// std::invalid_argument; these helpers reject all of that and throw
+// ConfigError naming the offending token.
 
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,6 +31,62 @@ inline int parse_int(const std::string& tok) {
     throw;
   } catch (const std::exception&) {
     throw ConfigError("invalid integer '" + tok + "'");
+  }
+}
+
+/// Parse one finite base-10 number, rejecting empty input, trailing
+/// characters, out-of-range magnitudes and "inf"/"nan".
+inline double parse_double(const std::string& tok) {
+  double v = 0.0;
+  try {
+    std::size_t pos = 0;
+    v = std::stod(tok, &pos);
+    if (pos != tok.size()) {
+      throw ConfigError("trailing characters in number '" + tok + "'");
+    }
+  } catch (const ConfigError&) {
+    throw;
+  } catch (const std::exception&) {
+    throw ConfigError("invalid number '" + tok + "'");
+  }
+  if (!std::isfinite(v)) throw ConfigError("non-finite number '" + tok + "'");
+  return v;
+}
+
+/// Parse one unsigned 64-bit base-10 integer. Stricter than std::stoull,
+/// which accepts a sign and wraps "-3" to 2^64 - 3: any sign is rejected.
+inline std::uint64_t parse_u64(const std::string& tok) {
+  if (tok.find_first_of("+-") != std::string::npos) {
+    throw ConfigError("signed value for unsigned integer '" + tok + "'");
+  }
+  try {
+    std::size_t pos = 0;
+    const unsigned long long v = std::stoull(tok, &pos);
+    if (pos != tok.size()) {
+      throw ConfigError("trailing characters in unsigned integer '" + tok + "'");
+    }
+    return v;
+  } catch (const ConfigError&) {
+    throw;
+  } catch (const std::exception&) {
+    throw ConfigError("invalid unsigned integer '" + tok + "'");
+  }
+}
+
+/// Run one of the parsers above on `tok`, prefixing any ConfigError with
+/// `label` so the message names where the token came from as well as the
+/// token ("--nodes: trailing characters in integer '8x'"). The message is
+/// built only on failure, so a hot parse loop pays nothing for the label.
+template <typename Parse>
+auto parse_labeled(std::string_view label, const std::string& tok, Parse parse) {
+  try {
+    return parse(tok);
+  } catch (const ConfigError& e) {
+    // Built by appends (see flag_error below: GCC 12 -Wrestrict).
+    std::string msg(label);
+    msg += ": ";
+    msg += e.what();
+    throw ConfigError(msg);
   }
 }
 

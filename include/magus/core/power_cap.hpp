@@ -16,10 +16,10 @@
 
 namespace magus::core {
 
-/// A per-node power cap over simulated time: `epoch_cap_w[e]` is the cap in
+/// One node's power cap over simulated time: `epoch_cap_w[e]` is the cap in
 /// Watts during epoch e = floor(t / epoch_s), the last entry holding beyond
 /// the schedule (a node stretched past its estimated runtime keeps its final
-/// allocation). `fixed_cap_w` is the static, manifest-set per-node cap used
+/// allocation). `fixed_cap_w` is the static, manifest-set node cap used
 /// when no epoch schedule exists. An inactive schedule means "uncapped".
 struct PowerCapSchedule {
   double epoch_s = 1.0;

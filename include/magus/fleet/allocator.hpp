@@ -3,7 +3,7 @@
 //
 // The fleet layer's first piece of *coordinated* state: a global Watts
 // budget redistributed across nodes once per epoch of simulated time.
-// Allocation is water-filling with per-node floors and ceilings -- floors
+// Allocation is water-filling with node floors and ceilings -- floors
 // are funded first (scaled proportionally when even they do not fit), then a
 // common water level rises toward each node's demand, then leftover headroom
 // water-fills toward the ceilings.
@@ -54,10 +54,10 @@ class PowerBudgetAllocator {
                                                           std::size_t epochs);
 
 /// Idle draw of a node: every component at its floor. The allocator's
-/// per-node floor.
+/// floor for the node.
 [[nodiscard]] double node_floor_w(const sim::SystemSpec& system);
 
-/// Peak useful draw: every component flat out. The allocator's per-node
+/// Peak useful draw: every component flat out. The allocator's node
 /// ceiling (a manifest power_cap_w tightens it further).
 [[nodiscard]] double node_ceiling_w(const sim::SystemSpec& system);
 

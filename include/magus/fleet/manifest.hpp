@@ -60,7 +60,7 @@ class NodeSpec {
     numa_skew_ = v;
     return *this;
   }
-  /// Static per-node power cap in Watts (0 = uncapped). Feeds the cap-aware
+  /// Static node power cap in Watts (0 = uncapped). Feeds the cap-aware
   /// policies directly; under a fleet power budget it also tightens the
   /// allocator's ceiling for this node.
   NodeSpec& power_cap_w(double v) {
@@ -168,7 +168,7 @@ class FleetManifest {
   /// Throws common::ConfigError joining every validate() message.
   void validate_or_throw() const;
 
-  /// Count-expanded per-node specs, in fleet order: template order, replicas
+  /// Count-expanded node specs, in fleet order: template order, replicas
   /// adjacent, each replica renamed "<name>/<i>" when count > 1. The index
   /// into this vector is the node's identity for seeding and results.
   [[nodiscard]] std::vector<NodeSpec> expand() const;

@@ -1,7 +1,7 @@
 #pragma once
 // Sharded fleet execution.
 //
-// FleetRunner turns a FleetManifest into per-node results and fleet rollups.
+// FleetRunner turns a FleetManifest into node results and fleet rollups.
 // Every node is simulated twice on identical inputs -- once under its
 // configured policy and once under the stock-firmware "default" policy -- so
 // savings are measured against the Intel-default fleet the paper compares to.
@@ -70,7 +70,7 @@ struct NodeResult {
 /// manifest sets a fleet power budget).
 struct BudgetEpochRollup {
   std::size_t epoch = 0;
-  double allocated_w = 0.0;  ///< sum of per-node allocations this epoch
+  double allocated_w = 0.0;  ///< sum of node allocations this epoch
   double consumed_w = 0.0;   ///< estimated fleet draw (node avg power x overlap)
   double clipped_w = 0.0;    ///< demand the allocator could not fund
 };
@@ -128,14 +128,9 @@ struct FleetResult {
   [[nodiscard]] std::string to_jsonl() const;
 };
 
-/// How a shard's runs are scheduled. Both run every node on the same
-/// simulator loop and produce byte-identical FleetResult::to_jsonl() output:
-/// kPerNode calls exp::run_policy node by node, kBatch puts the shard's runs
-/// in one exp::BatchRun per retry round.
-enum class FleetEngine {
-  kPerNode,
-  kBatch,
-};
+/// Kept only because perfbench/src/fleet.cpp still calls set_engine(kBatch):
+/// FleetRunner has one shard scheduler, and set_engine() stores nothing.
+enum class FleetEngine { kBatch };
 
 /// Runs a validated manifest. Thread-safe progress accessors make live
 /// /fleet/status reporting possible while run() executes on another thread.
@@ -145,15 +140,14 @@ class FleetRunner {
   /// problem, so a daemon can reject a bad job at submit time.
   explicit FleetRunner(FleetManifest manifest);
 
-  /// Progress gauges/counters land in `reg` ("magus_fleet_*"); per-node
+  /// Progress gauges/counters land in `reg` ("magus_fleet_*"); node
   /// completion events go to `events` when non-null. Telemetry never feeds
   /// back into the simulation: results are bit-identical with or without it.
   void attach_telemetry(telemetry::MetricsRegistry& reg,
                         telemetry::EventLog* events = nullptr);
 
-  /// Select the tick path (default: per-node). Set before run().
-  void set_engine(FleetEngine engine) noexcept { engine_ = engine; }
-  [[nodiscard]] FleetEngine engine() const noexcept { return engine_; }
+  /// No-op, kept for perfbench/src/fleet.cpp (see FleetEngine).
+  void set_engine(FleetEngine) noexcept {}
 
   /// Simulate the whole fleet. Deterministic for any job count (see file
   /// header). Call at most once per runner.
@@ -167,8 +161,8 @@ class FleetRunner {
   }
 
  private:
-  /// The exact inputs both engines consume for one node; built only from
-  /// (manifest seed, node index) so the two paths cannot diverge.
+  /// The exact inputs a node's policy run and twin consume; built only from
+  /// (manifest seed, node index), so no schedule can change them.
   struct NodeInputs;
   [[nodiscard]] NodeInputs node_inputs(std::size_t index) const;
 
@@ -180,23 +174,21 @@ class FleetRunner {
   /// --jobs count and shard size.
   void compute_power_caps();
 
-  [[nodiscard]] NodeResult run_node(std::size_t index) const;
-  /// Batched equivalent of run_node over [begin, end): one BatchRun per
-  /// retry round, writing the same NodeResult fields into `results`.
-  void run_shard_batch(std::size_t begin, std::size_t end,
-                       std::vector<NodeResult>& results) const;
+  /// Simulate nodes [begin, end) into `results`: each node's policy run and
+  /// its default twin share one exp::BatchRun per retry round.
+  void run_shard(std::size_t begin, std::size_t end,
+                 std::vector<NodeResult>& results) const;
 
   // Concurrency model (audited under -Wthread-safety, DESIGN.md §14): the
   // runner holds NO mutex of its own. `completed_` is the only field workers
   // write concurrently — a relaxed atomic progress counter (monotonic count,
   // no ordering to protect). Everything else is init-then-read:
-  // manifest_/expanded_ are fixed by the constructor, engine_ and the
-  // telemetry handles must be set before run() starts (set_engine /
-  // attach_telemetry contracts), after which workers only read them.
+  // manifest_/expanded_ are fixed by the constructor, the telemetry handles
+  // must be set before run() starts (attach_telemetry contract), after which
+  // workers only read them.
   // Events emitted through events_ are serialized by EventLog's own lock.
   FleetManifest manifest_;
   std::vector<NodeSpec> expanded_;
-  FleetEngine engine_ = FleetEngine::kPerNode;
   std::atomic<std::size_t> completed_{0};
 
   // Budget state: computed once by the constructor (init-then-read, like

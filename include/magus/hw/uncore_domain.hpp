@@ -56,7 +56,7 @@ class IUncoreDomainSet {
 };
 
 /// MSR 0x620 adapter: one logical domain spanning every socket, so a config
-/// written against the per-node controller is a one-domain set. Max-limit
+/// written against the node-wide controller is a one-domain set. Max-limit
 /// writes delegate to UncoreFreqController (same read/decode/skip-if-already
 /// -programmed/encode/write sequence and therefore the same access counts);
 /// min-limit writes rewrite the MIN_RATIO field with the same discipline.

@@ -11,7 +11,7 @@
 
 namespace magus::sim {
 
-/// CPU (per-node) specification. Power coefficients are per socket.
+/// CPU (whole-node) specification. Power coefficients are per socket.
 struct CpuSpec {
   std::string model;
   int sockets = 2;

@@ -197,7 +197,7 @@ int register_ecoshift_policy() {
               ctx.ecoshift ? *ctx.ecoshift : EcoShiftConfig{}, ctx.power_cap,
               ctx.domains);
         },
-        "performance-aware throttling under a per-node power cap (EcoShift)",
+        "performance-aware throttling under a node power cap (EcoShift)",
         /*is_runtime=*/true);
     return true;
   }();

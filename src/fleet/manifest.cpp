@@ -1,11 +1,14 @@
 #include "magus/fleet/manifest.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "magus/common/error.hpp"
+#include "magus/common/parse.hpp"
 #include "magus/core/policy_factory.hpp"
 #include "magus/exp/experiment_config.hpp"
 #include "magus/sim/kernel.hpp"
@@ -56,11 +59,14 @@ std::vector<std::string> NodeSpec::validate(const std::string& prefix) const {
   }
   if (gpus_ < 1) add("gpus must be >= 1 (got " + std::to_string(gpus_) + ")");
   if (dies_ < 1) add("dies must be >= 1 (got " + std::to_string(dies_) + ")");
-  if (numa_skew_ < 0.0 || numa_skew_ >= 1.0) {
+  // Written so NaN fails too (every comparison with NaN is false), and a
+  // non-finite cap is rejected outright: the JSONL dumps would carry it as
+  // a bare +Inf/NaN token, which is not JSON.
+  if (!(numa_skew_ >= 0.0 && numa_skew_ < 1.0)) {
     add("numa_skew must be in [0, 1) (got " + std::to_string(numa_skew_) + ")");
   }
-  if (power_cap_w_ < 0.0) {
-    add("power_cap_w must be >= 0 (got " + std::to_string(power_cap_w_) + ")");
+  if (!std::isfinite(power_cap_w_) || power_cap_w_ < 0.0) {
+    add("power_cap_w must be finite and >= 0 (got " + std::to_string(power_cap_w_) + ")");
   }
   if (count_ < 1) add("count must be >= 1 (got " + std::to_string(count_) + ")");
   if (policy_ == "static" && static_uncore_ <= common::Ghz(0.0)) {
@@ -75,12 +81,13 @@ std::vector<std::string> FleetManifest::validate() const {
     errors.push_back("shard_size must be >= 1 (got " + std::to_string(shard_size_) + ")");
   }
   if (nodes_.empty()) errors.push_back("fleet has no nodes");
-  if (power_budget_w_ < 0.0) {
-    errors.push_back("power_budget_w must be >= 0 (got " +
+  // Non-finite budgets are rejected for the same reason as node caps.
+  if (!std::isfinite(power_budget_w_) || power_budget_w_ < 0.0) {
+    errors.push_back("power_budget_w must be finite and >= 0 (got " +
                      std::to_string(power_budget_w_) + ")");
   }
-  if (budget_epoch_s_ <= 0.0) {
-    errors.push_back("budget_epoch_s must be > 0 (got " +
+  if (!std::isfinite(budget_epoch_s_) || budget_epoch_s_ <= 0.0) {
+    errors.push_back("budget_epoch_s must be finite and > 0 (got " +
                      std::to_string(budget_epoch_s_) + ")");
   }
   try {
@@ -175,59 +182,75 @@ FleetManifest FleetManifest::from_jsonl(const std::string& text) {
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::map<std::string, std::string> fields;
+    // Every error below is prefixed with the line number once, here.
     try {
-      fields = telemetry::parse_event_line(line);
+      const std::map<std::string, std::string> fields = telemetry::parse_event_line(line);
+      auto field = [&](const char* key) -> const std::string& {
+        const auto it = fields.find(key);
+        if (it == fields.end()) {
+          throw common::ConfigError("missing field '" + std::string(key) + "'");
+        }
+        return it->second;
+      };
+      // Fields added after the v1 wire format; absent in old manifests.
+      auto field_or = [&](const char* key, const std::string& fallback) -> std::string {
+        const auto it = fields.find(key);
+        return it == fields.end() ? fallback : it->second;
+      };
+      // Strict numbers: a malformed value names its field. Integer fields
+      // parse as doubles first -- the wire format writes every number in
+      // shortest round-trip form, so a count of 100000 arrives as "1e+05" --
+      // and must then be whole and fit an int.
+      auto real = [](const char* key, const std::string& value) {
+        return common::parse_labeled(key, value, common::parse_double);
+      };
+      auto whole = [&](const char* key, const std::string& value) {
+        const double v = real(key, value);
+        if (v != std::floor(v) || v < std::numeric_limits<int>::min() ||
+            v > std::numeric_limits<int>::max()) {
+          throw common::ConfigError(std::string(key) + ": not an integer '" + value + "'");
+        }
+        return static_cast<int>(v);
+      };
+      auto seed = [](const char* key, const std::string& value) {
+        return common::parse_labeled(key, value, common::parse_u64);
+      };
+      const std::string& type = field("type");
+      if (type == "fleet_manifest") {
+        saw_header = true;
+        manifest.seed(seed("seed", field("seed")));
+        manifest.shard_size(whole("shard_size", field("shard_size")));
+        wl::JitterConfig jitter;
+        jitter.duration_rel = real("jitter_duration_rel", field("jitter_duration_rel"));
+        jitter.demand_rel = real("jitter_demand_rel", field("jitter_demand_rel"));
+        manifest.jitter(jitter);
+        manifest.fault_rate(real("fault_rate", field_or("fault_rate", "0")));
+        manifest.fault_seed(seed("fault_seed", field_or("fault_seed", "0")));
+        // Budget fields postdate v1: an old manifest is an unbudgeted fleet.
+        manifest.power_budget_w(real("power_budget_w", field_or("power_budget_w", "0")));
+        manifest.budget_epoch_s(real("budget_epoch_s", field_or("budget_epoch_s", "1")));
+      } else if (type == "fleet_node") {
+        NodeSpec node;
+        node.name(field("name"))
+            .system(field("system"))
+            .app(field("app"))
+            .policy(field("policy"))
+            .gpus(whole("gpus", field("gpus")))
+            .static_uncore(common::Ghz(real("static_uncore_ghz", field("static_uncore_ghz"))))
+            // Domain fields postdate the v1 node lines: an old manifest is a
+            // fleet of single-domain, skew-free nodes.
+            .dies(whole("dies", field_or("dies", "1")))
+            .numa_skew(real("numa_skew", field_or("numa_skew", "0")))
+            // A v1 node line is an uncapped node.
+            .power_cap_w(real("power_cap_w", field_or("power_cap_w", "0")))
+            .count(whole("count", field("count")));
+        manifest.add_node(std::move(node));
+      } else {
+        throw common::ConfigError("unexpected type '" + type + "'");
+      }
     } catch (const common::Error& e) {
       throw common::ConfigError("fleet manifest line " + std::to_string(line_no) + ": " +
                                 e.what());
-    }
-    auto field = [&](const char* key) -> const std::string& {
-      const auto it = fields.find(key);
-      if (it == fields.end()) {
-        throw common::ConfigError("fleet manifest line " + std::to_string(line_no) +
-                                  ": missing field '" + key + "'");
-      }
-      return it->second;
-    };
-    // Fields added after the v1 wire format; absent in old manifests.
-    auto field_or = [&](const char* key, const std::string& fallback) -> std::string {
-      const auto it = fields.find(key);
-      return it == fields.end() ? fallback : it->second;
-    };
-    const std::string& type = field("type");
-    if (type == "fleet_manifest") {
-      saw_header = true;
-      manifest.seed(std::stoull(field("seed")));
-      manifest.shard_size(static_cast<int>(std::stod(field("shard_size"))));
-      wl::JitterConfig jitter;
-      jitter.duration_rel = std::stod(field("jitter_duration_rel"));
-      jitter.demand_rel = std::stod(field("jitter_demand_rel"));
-      manifest.jitter(jitter);
-      manifest.fault_rate(std::stod(field_or("fault_rate", "0")));
-      manifest.fault_seed(std::stoull(field_or("fault_seed", "0")));
-      // Budget fields postdate v1: an old manifest is an unbudgeted fleet.
-      manifest.power_budget_w(std::stod(field_or("power_budget_w", "0")));
-      manifest.budget_epoch_s(std::stod(field_or("budget_epoch_s", "1")));
-    } else if (type == "fleet_node") {
-      NodeSpec node;
-      node.name(field("name"))
-          .system(field("system"))
-          .app(field("app"))
-          .policy(field("policy"))
-          .gpus(static_cast<int>(std::stod(field("gpus"))))
-          .static_uncore(common::Ghz(std::stod(field("static_uncore_ghz"))))
-          // Domain fields postdate the v1 node lines: an old manifest is a
-          // fleet of single-domain, skew-free nodes.
-          .dies(static_cast<int>(std::stod(field_or("dies", "1"))))
-          .numa_skew(std::stod(field_or("numa_skew", "0")))
-          // A v1 node line is an uncapped node.
-          .power_cap_w(std::stod(field_or("power_cap_w", "0")))
-          .count(static_cast<int>(std::stod(field("count"))));
-      manifest.add_node(std::move(node));
-    } else {
-      throw common::ConfigError("fleet manifest line " + std::to_string(line_no) +
-                                ": unexpected type '" + type + "'");
     }
   }
   if (!saw_header) {

@@ -1,11 +1,9 @@
 #include "magus/fleet/runner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <deque>
 #include <map>
-#include <thread>
 #include <utility>
 
 #include "magus/common/error.hpp"
@@ -24,12 +22,12 @@ namespace magus::fleet {
 
 namespace {
 
-/// Shared by both tick paths: per-domain uncore-energy savings and memory
-/// stretch-time slowdown vs the default twin. A default-policy node is its
-/// own twin, so its deltas are exactly zero. Slowdown uses the time each
-/// domain spent stretched by memory pressure -- the per-domain analogue of
-/// the runtime ratio (per-domain wall clock does not exist; domains of one
-/// node finish together).
+/// Per-domain uncore-energy savings and memory stretch-time slowdown vs the
+/// default twin. A default-policy node is its own twin, so its deltas are
+/// exactly zero. Slowdown uses the time each domain spent stretched by
+/// memory pressure -- the per-domain analogue of the runtime ratio
+/// (per-domain wall clock does not exist; domains of one node finish
+/// together).
 void fill_domain_metrics(NodeResult& out, const sim::SimResult& run,
                          const sim::SimResult& baseline) {
   const std::size_t n = run.domain_uncore_energy_j.size();
@@ -79,7 +77,7 @@ void FleetRunner::compute_power_caps() {
     caps_[i].fixed_cap_w = expanded_[i].power_cap_w();
   }
   const double budget_w = manifest_.power_budget_w();
-  if (budget_w <= 0.0) return;  // static per-node caps only, no allocation
+  if (budget_w <= 0.0) return;  // static node caps only, no allocation
 
   // Per-node demand profiles from the same jittered programs node_inputs
   // will later hand the engines (re-derived here, identically: the fork is
@@ -158,8 +156,8 @@ void FleetRunner::attach_telemetry(telemetry::MetricsRegistry& reg,
       "Mean per-epoch Watts of estimated demand the budget could not fund");
 }
 
-/// The per-node inputs (system preset, jittered workload, run options) both
-/// tick paths consume. Kept behind one builder so neither path can drift.
+/// One node's inputs (system preset, jittered workload, run options), shared
+/// by its policy run and its twin and built only from manifest data.
 struct FleetRunner::NodeInputs {
   sim::SystemSpec system;
   wl::PhaseProgram jittered;
@@ -189,82 +187,13 @@ FleetRunner::NodeInputs FleetRunner::node_inputs(std::size_t index) const {
   in.opts.fault = manifest_.fault();
   in.opts.fault_node = index;
   // Cap schedules are fixed by the constructor (manifest-only inputs), so
-  // handing them out here keeps both tick paths and any shard layout on the
-  // exact same caps.
+  // handing them out here keeps any shard layout on the exact same caps.
   if (!caps_.empty()) in.opts.power_cap = caps_[index];
   return in;
 }
 
-NodeResult FleetRunner::run_node(std::size_t index) const {
-  const NodeSpec& spec = expanded_[index];
-  const NodeInputs in = node_inputs(index);
-
-  NodeResult out;
-  out.index = index;
-  out.name = spec.name();
-  out.system = spec.system();
-  out.app = spec.app();
-  out.policy = spec.policy();
-
-  // Failure isolation: a node whose backend dies (a policy that does not
-  // ride the degradation ladder, e.g. UPS hitting an injected MSR -EIO) is
-  // retried with a short backoff, then recorded as failed -- never allowed
-  // to poison sibling shards. Inputs are identical per attempt, so the
-  // recorded outcome is deterministic regardless of scheduling.
-  constexpr int kNodeAttempts = 3;
-  for (int attempt = 1; attempt <= kNodeAttempts; ++attempt) {
-    out.attempts = attempt;
-    try {
-      const exp::RunOutput run =
-          exp::run_policy(in.system, in.jittered, spec.policy(), in.opts);
-      // The default-policy twin sees the identical jittered workload and
-      // engine seed; when the node already runs "default" it is its own twin.
-      // The twin runs fault-free: "default" issues no backend calls, so fault
-      // decorators could never reach it anyway -- skipping them just saves
-      // the plan/decorator setup without changing a single byte.
-      const bool is_default = spec.policy() == "default";
-      exp::RunOptions twin_opts = in.opts;
-      twin_opts.fault = {};
-      const exp::RunOutput twin = is_default
-                                      ? exp::RunOutput{}
-                                      : exp::run_policy(in.system, in.jittered, "default",
-                                                        twin_opts);
-      const sim::SimResult& baseline = is_default ? run.result : twin.result;
-
-      out.completed = run.result.completed;
-      out.runtime_s = run.result.duration_s;
-      out.baseline_runtime_s = baseline.duration_s;
-      out.energy_j = run.result.total_energy_j();
-      out.baseline_energy_j = baseline.total_energy_j();
-      out.joules_saved = out.baseline_energy_j - out.energy_j;
-      out.slowdown_pct = baseline.duration_s > 0.0
-                             ? 100.0 * (run.result.duration_s / baseline.duration_s - 1.0)
-                             : 0.0;
-      out.degraded = run.policy_degraded;
-      out.faults_injected = run.faults.injected() + twin.faults.injected();
-      out.ticks = run.result.ticks + twin.result.ticks;
-      out.control_latency_s = run.result.avg_invocation_s();
-      fill_domain_metrics(out, run.result, baseline);
-      out.error.clear();
-      return out;
-    } catch (const std::exception& e) {
-      out.error = e.what();
-      if (attempt < kNodeAttempts) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1 << attempt));
-      }
-    }
-  }
-  // Every attempt threw: zeroed numerics, flagged, isolated.
-  out.failed = true;
-  out.degraded = true;
-  out.completed = false;
-  return out;
-}
-
-void FleetRunner::run_shard_batch(std::size_t begin, std::size_t end,
-                                  std::vector<NodeResult>& results) const {
-  constexpr int kNodeAttempts = 3;  // mirrors run_node
-
+void FleetRunner::run_shard(std::size_t begin, std::size_t end,
+                            std::vector<NodeResult>& results) const {
   for (std::size_t i = begin; i < end; ++i) {
     const NodeSpec& spec = expanded_[i];
     NodeResult& out = results[i];
@@ -279,9 +208,13 @@ void FleetRunner::run_shard_batch(std::size_t begin, std::size_t end,
   pending.reserve(end - begin);
   for (std::size_t i = begin; i < end; ++i) pending.push_back(i);
 
-  // Retry semantics match run_node: node inputs are identical per attempt,
-  // so a retry round is literally a fresh BatchRun over the still-unsettled
-  // nodes. No backoff sleep -- it only shaped wall-clock, never results.
+  // Failure isolation: a node whose backend dies (a policy that does not
+  // ride the degradation ladder, e.g. UPS hitting an injected MSR -EIO) is
+  // retried, then recorded as failed -- never allowed to poison sibling
+  // shards. Node inputs are identical per attempt, so a retry round is a
+  // fresh BatchRun over the still-unsettled nodes and the recorded outcome
+  // is deterministic regardless of scheduling.
+  constexpr int kNodeAttempts = 3;
   for (int attempt = 1; attempt <= kNodeAttempts && !pending.empty(); ++attempt) {
     exp::BatchRun batch;
     // PolicyContext keeps pointers into RunOptions; deques pin the addresses
@@ -306,8 +239,12 @@ void FleetRunner::run_shard_batch(std::size_t begin, std::size_t end,
       LaneMap map{node, 0, 0, false};
       try {
         map.run_lane = batch.add(in.system, in.jittered, policy, in.opts);
+        // The default-policy twin sees the identical jittered workload and
+        // engine seed; a node already on "default" is its own twin. The twin
+        // runs fault-free: "default" issues no backend calls, so fault
+        // decorators could never reach it anyway -- skipping them just saves
+        // the plan/decorator setup without changing a single byte.
         if (policy != "default") {
-          // Same fault-free twin as run_node (see the comment there).
           twin_opts.push_back(in.opts);
           twin_opts.back().fault = {};
           map.twin_lane = batch.add(in.system, in.jittered, "default", twin_opts.back());
@@ -316,7 +253,7 @@ void FleetRunner::run_shard_batch(std::size_t begin, std::size_t end,
         lanes.push_back(map);
       } catch (const std::exception& e) {
         // make_policy (or option validation) threw -- deterministic, so it
-        // consumes a retry exactly like a run_policy throw in run_node.
+        // consumes a retry exactly like a failed run.
         results[node].error = e.what();
         next_pending.push_back(node);
       }
@@ -360,7 +297,7 @@ void FleetRunner::run_shard_batch(std::size_t begin, std::size_t end,
     pending = std::move(next_pending);
   }
 
-  // Every attempt threw: zeroed numerics, flagged, isolated (as run_node).
+  // Every attempt threw: zeroed numerics, flagged, isolated.
   for (const std::size_t node : pending) {
     NodeResult& out = results[node];
     out.failed = true;
@@ -400,15 +337,8 @@ FleetResult FleetRunner::run() {
   common::default_pool().parallel_for_each(shards, [&](std::size_t shard) {
     const std::size_t begin = shard * shard_size;
     const std::size_t end = std::min(total, begin + shard_size);
-    if (engine_ == FleetEngine::kBatch) {
-      run_shard_batch(begin, end, results);
-      for (std::size_t i = begin; i < end; ++i) report_node(results[i]);
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        results[i] = run_node(i);
-        report_node(results[i]);
-      }
-    }
+    run_shard(begin, end, results);
+    for (std::size_t i = begin; i < end; ++i) report_node(results[i]);
   });
 
   // Serial aggregation in node-index order: the accumulation order of every

@@ -31,6 +31,64 @@ TEST(Parse, ParseIntErrorNamesToken) {
   }
 }
 
+TEST(Parse, ParseDoubleAcceptsFiniteNumbers) {
+  EXPECT_DOUBLE_EQ(mc::parse_double("0"), 0.0);
+  EXPECT_DOUBLE_EQ(mc::parse_double("0.05"), 0.05);
+  EXPECT_DOUBLE_EQ(mc::parse_double("-2.5"), -2.5);
+  EXPECT_DOUBLE_EQ(mc::parse_double("1e+05"), 100000.0);
+  EXPECT_DOUBLE_EQ(mc::parse_double("6000"), 6000.0);
+}
+
+TEST(Parse, ParseDoubleRejectsGarbageAndNonFinite) {
+  for (const char* tok : {"", "abc", "0.05x", "12x", "1.5.2", " ", "1e999", "inf", "-inf",
+                          "+Inf", "nan", "NaN", "infinity"}) {
+    EXPECT_THROW((void)mc::parse_double(tok), mc::ConfigError) << "'" << tok << "'";
+  }
+}
+
+TEST(Parse, ParseU64AcceptsFullRange) {
+  EXPECT_EQ(mc::parse_u64("0"), 0u);
+  EXPECT_EQ(mc::parse_u64("2025"), 2025u);
+  EXPECT_EQ(mc::parse_u64("18446744073709551615"), 18446744073709551615ull);
+}
+
+TEST(Parse, ParseU64RejectsSignsGarbageAndOverflow) {
+  // std::stoull would wrap "-3" to 18446744073709551613.
+  for (const char* tok : {"", "-3", "-1", "+5", "8x", "1.5", "abc", " ",
+                          "18446744073709551616"}) {
+    EXPECT_THROW((void)mc::parse_u64(tok), mc::ConfigError) << "'" << tok << "'";
+  }
+}
+
+TEST(Parse, NumberErrorsNameTheToken) {
+  for (const char* tok : {"0.05x", "inf", "abc"}) {
+    try {
+      (void)mc::parse_double(tok);
+      ADD_FAILURE() << "expected ConfigError for '" << tok << "'";
+    } catch (const mc::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(tok), std::string::npos) << e.what();
+    }
+  }
+  try {
+    (void)mc::parse_u64("-3");
+    ADD_FAILURE() << "expected ConfigError for '-3'";
+  } catch (const mc::ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'-3'"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Parse, ParseLabeledPrefixesTheSource) {
+  try {
+    (void)mc::parse_labeled("--nodes", "8x", mc::parse_int);
+    FAIL() << "expected ConfigError";
+  } catch (const mc::ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("--nodes: ", 0), 0u) << msg;
+    EXPECT_NE(msg.find("'8x'"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(mc::parse_labeled("--seed", "7", mc::parse_u64), 7u);
+}
+
 TEST(Parse, ParseIntListSplitsOnCommas) {
   EXPECT_EQ(mc::parse_int_list("0"), (std::vector<int>{0}));
   EXPECT_EQ(mc::parse_int_list("0,40"), (std::vector<int>{0, 40}));

@@ -1,4 +1,4 @@
-// Fleet-level fault weather: per-node failure isolation, degraded-node
+// Fleet-level fault weather: node failure isolation, degraded-node
 // accounting, and the determinism contract extended to faulty runs — the
 // rollup JSONL stays a pure function of (manifest, fault seed), independent
 // of job count and shard size.
@@ -111,7 +111,7 @@ TEST(FleetFaults, FailuresAreIsolatedPerNode) {
     if (node.failed) {
       EXPECT_FALSE(node.completed);
       EXPECT_FALSE(node.error.empty());
-      EXPECT_EQ(node.attempts, 3);  // exhausted the per-node retry budget
+      EXPECT_EQ(node.attempts, 3);  // exhausted the node's retry budget
       EXPECT_DOUBLE_EQ(node.joules_saved, 0.0);
     } else {
       EXPECT_TRUE(node.completed);

@@ -148,7 +148,7 @@ TEST(FleetResult, JsonlShape) {
   EXPECT_EQ(jsonl.rfind("{\"t\":0,\"type\":\"fleet_rollup\"", 0), 0u) << jsonl;
   std::size_t lines = 0;
   for (char c : jsonl) lines += c == '\n' ? 1u : 0u;
-  // rollup + per-policy + per-domain (2 sockets x 1 die) + per-node
+  // rollup + per-policy + per-domain (2 sockets x 1 die) + one per node
   EXPECT_EQ(lines, 1u + 3u + 2u + 12u);
   EXPECT_NE(jsonl.find("\"type\":\"policy_rollup\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"type\":\"domain_rollup\""), std::string::npos);

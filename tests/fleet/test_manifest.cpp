@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "magus/common/error.hpp"
@@ -163,6 +164,81 @@ TEST(FleetManifest, FromJsonlRejectsGarbage) {
   std::string text = one.to_jsonl();
   text.erase(0, text.find('\n') + 1);
   EXPECT_THROW((void)mf::FleetManifest::from_jsonl(text), magus::common::ConfigError);
+}
+
+namespace {
+
+/// from_jsonl's ConfigError message for `text` ("" when it parses).
+std::string from_jsonl_error(const std::string& text) {
+  try {
+    (void)mf::FleetManifest::from_jsonl(text);
+  } catch (const magus::common::ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from, const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+}  // namespace
+
+TEST(FleetManifest, FromJsonlNamesLineAndFieldOfMalformedNumber) {
+  mf::FleetManifest manifest;
+  manifest.seed(5).shard_size(16).add_node(mf::NodeSpec{}.name("n").count(2));
+  const std::string good = manifest.to_jsonl();
+  ASSERT_EQ(from_jsonl_error(good), "");
+
+  struct Case {
+    std::string from, to, line, field, token;
+  };
+  // clang-format off
+  const Case cases[] = {
+      {"\"shard_size\":16", "\"shard_size\":\"x\"", "line 1", "shard_size", "'x'"},
+      {"\"seed\":\"5\"", "\"seed\":\"-3\"", "line 1", "seed", "'-3'"},
+      {"\"fault_rate\":0", "\"fault_rate\":\"0.05x\"", "line 1", "fault_rate", "'0.05x'"},
+      {"\"count\":2", "\"count\":\"2x\"", "line 2", "count", "'2x'"},
+      {"\"count\":2", "\"count\":2.5", "line 2", "count", "'2.5'"},
+      {"\"numa_skew\":0", "\"numa_skew\":\"nan\"", "line 2", "numa_skew", "'nan'"},
+  };
+  // clang-format on
+  for (const Case& c : cases) {
+    const std::string msg = from_jsonl_error(replaced(good, c.from, c.to));
+    EXPECT_NE(msg.find(c.line), std::string::npos) << c.to << " -> " << msg;
+    EXPECT_NE(msg.find(c.field + ":"), std::string::npos) << c.to << " -> " << msg;
+    EXPECT_NE(msg.find(c.token), std::string::npos) << c.to << " -> " << msg;
+  }
+
+  // Integer fields arrive in shortest round-trip form, exponents included.
+  manifest.shard_size(100000);
+  const std::string wide = manifest.to_jsonl();
+  ASSERT_NE(wide.find("\"shard_size\":1e+05"), std::string::npos) << wide;
+  EXPECT_EQ(mf::FleetManifest::from_jsonl(wide).shard_size(), 100000);
+}
+
+TEST(FleetManifest, ValidateRejectsNonFiniteBudgetsAndCaps) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  mf::FleetManifest manifest;
+  manifest.power_budget_w(inf).budget_epoch_s(nan);
+  manifest.add_node(mf::NodeSpec{}.name("capped").power_cap_w(inf));
+  manifest.add_node(mf::NodeSpec{}.name("skewed").numa_skew(nan));
+  const auto errors = manifest.validate();
+  ASSERT_EQ(errors.size(), 4u);
+  for (const char* field : {"power_budget_w", "budget_epoch_s", "power_cap_w", "numa_skew"}) {
+    bool named = false;
+    for (const std::string& e : errors) named |= e.find(field) != std::string::npos;
+    EXPECT_TRUE(named) << field;
+  }
+
+  mf::FleetManifest negative_inf;
+  negative_inf.power_budget_w(-inf).add_node(mf::NodeSpec{}.name("n").power_cap_w(nan));
+  EXPECT_EQ(negative_inf.validate().size(), 2u);
 }
 
 TEST(FleetManifest, SaveLoadRoundTrip) {

@@ -1,9 +1,10 @@
 // The multi-domain golden oracle contract: with nodes reshaped to multiple
-// uncore dies per socket (and NUMA-skewed traffic), the batch engine must
-// stay byte-identical to the per-node engine -- across seeds, the runtime
-// policy matrix, domain counts {1, 2, 4}, and any job count. Also pins the
-// per-domain surface: domain rollups and per-node domain vectors must be
-// present and coherent.
+// uncore dies per socket (and NUMA-skewed traffic), the fleet rollup must
+// match golden digests (cross-checked against an independent node-at-a-time
+// scheduler, as in test_batch_oracle.cpp) -- across seeds, the runtime
+// policy matrix, domain counts {1, 2, 4}, and any job count. Also
+// pins the per-domain surface: domain rollups and each node's domain
+// vectors must be present and coherent.
 
 #include <gtest/gtest.h>
 
@@ -15,9 +16,11 @@
 #include "magus/common/thread_pool.hpp"
 #include "magus/fleet/manifest.hpp"
 #include "magus/fleet/runner.hpp"
+#include "rollup_digest.hpp"
 
 namespace mc = magus::common;
 namespace mf = magus::fleet;
+namespace mt = magus::test;
 
 namespace {
 
@@ -28,7 +31,7 @@ struct JobsGuard {
 
 /// One node per runtime policy, all multi-die, half of them NUMA-skewed, so
 /// every per-domain decision loop (MAGUS per-domain MDFS, UPS per-package,
-/// DUF per-domain ladder) crosses both tick paths.
+/// DUF per-domain ladder) crosses the fleet scheduler.
 mf::FleetManifest domain_fleet(std::uint64_t seed, int dies, double skew) {
   mf::FleetManifest manifest;
   manifest.seed(seed).shard_size(3);
@@ -44,44 +47,55 @@ mf::FleetManifest domain_fleet(std::uint64_t seed, int dies, double skew) {
   return manifest;
 }
 
-std::string run_with(mf::FleetManifest manifest, mf::FleetEngine engine) {
+std::string run_jsonl(mf::FleetManifest manifest) {
   mf::FleetRunner runner(std::move(manifest));
-  runner.set_engine(engine);
   return runner.run().to_jsonl();
 }
+
+struct GoldenCell {
+  std::uint64_t seed;
+  int dies;
+  std::uint64_t digest;
+};
+
+// clang-format off
+constexpr GoldenCell kGolden[] = {
+    {3, 1, 0xcc6e466e7ff14794ull},
+    {3, 2, 0x448995a6014decabull},
+    {3, 4, 0x0abe0dae8d7c991eull},
+    {11, 1, 0xf45c41af236e1d51ull},
+    {11, 2, 0xef1833cf140d2ee9ull},
+    {11, 4, 0x51712ce212deb8f2ull},
+    {29, 1, 0x712f5090668ca11dull},
+    {29, 2, 0xe043c5bba6351a8dull},
+    {29, 4, 0x542d193662c3bae3ull},
+};
+// clang-format on
 
 }  // namespace
 
 TEST(MultiDomainOracle, GoldenMatchAcrossSeedsPoliciesAndDomainCounts) {
   JobsGuard jobs(2);
-  for (std::uint64_t seed : {3ull, 11ull, 29ull}) {
-    for (int dies : {1, 2, 4}) {
-      const std::string per_node =
-          run_with(domain_fleet(seed, dies, 0.4), mf::FleetEngine::kPerNode);
-      const std::string batch =
-          run_with(domain_fleet(seed, dies, 0.4), mf::FleetEngine::kBatch);
-      EXPECT_EQ(per_node, batch) << "seed=" << seed << " dies=" << dies;
-    }
+  for (const GoldenCell& cell : kGolden) {
+    EXPECT_TRUE(
+        mt::digest_matches(run_jsonl(domain_fleet(cell.seed, cell.dies, 0.4)), cell.digest))
+        << "seed=" << cell.seed << " dies=" << cell.dies;
   }
 }
 
 TEST(MultiDomainOracle, BitIdenticalAtJobs1And8) {
-  for (mf::FleetEngine engine : {mf::FleetEngine::kPerNode, mf::FleetEngine::kBatch}) {
-    std::string reference;
-    {
-      JobsGuard jobs(1);
-      reference = run_with(domain_fleet(11, 4, 0.4), engine);
-    }
-    JobsGuard jobs(8);
-    EXPECT_EQ(reference, run_with(domain_fleet(11, 4, 0.4), engine))
-        << "engine=" << (engine == mf::FleetEngine::kBatch ? "batch" : "per-node");
+  std::string reference;
+  {
+    JobsGuard jobs(1);
+    reference = run_jsonl(domain_fleet(11, 4, 0.4));
   }
+  JobsGuard jobs(8);
+  EXPECT_EQ(reference, run_jsonl(domain_fleet(11, 4, 0.4)));
 }
 
 TEST(MultiDomainOracle, PerDomainMetricsAreCoherent) {
   JobsGuard jobs(2);
   mf::FleetRunner runner(domain_fleet(11, 4, 0.4));
-  runner.set_engine(mf::FleetEngine::kBatch);
   const mf::FleetResult result = runner.run();
 
   // Every preset is 2 sockets, so 4 dies per socket means 8 domains/node and
@@ -108,7 +122,7 @@ TEST(MultiDomainOracle, PerDomainMetricsAreCoherent) {
       for (double s : node.domain_slowdown_pct) EXPECT_EQ(s, 0.0);
     }
   }
-  // The domain rollup is a re-bucketing of the same per-node vectors.
+  // The domain rollup is a re-bucketing of the same node-level vectors.
   EXPECT_DOUBLE_EQ(rollup_joules, node_joules);
   // The runtime policies actually save uncore energy somewhere.
   EXPECT_GT(node_joules, 0.0);
@@ -132,7 +146,6 @@ TEST(MultiDomainOracle, NumaSkewShiftsSavingsAcrossDies) {
   manifest.add_node(
       mf::NodeSpec{}.name("skewed").app("srad").policy("magus").dies(4).numa_skew(0.6));
   mf::FleetRunner runner(std::move(manifest));
-  runner.set_engine(mf::FleetEngine::kBatch);
   const mf::FleetResult result = runner.run();
 
   ASSERT_EQ(result.nodes.size(), 1u);

@@ -7,8 +7,9 @@ went to stdout and corrupted piped JSONL) -- must land on stderr, leaving
 stdout a parseable JSONL document and nothing else.
 
 A malformed command line (a trailing flag with no value, a flag the command
-does not take) must fail with exit code 2 and name the flag, before any
-simulation runs or any output file is written.
+does not take, a numeric value with trailing characters) must fail with exit
+code 2 and name the flag or token, before any simulation runs or any output
+file is written.
 
 Usage: test_cli_stream.py <path-to-magus-cli>
 """
@@ -111,6 +112,30 @@ def check_strict_flags(cli, tmpdir):
     print("ok: malformed flags exit 2 and name the flag")
 
 
+def check_strict_values(cli, tmpdir):
+    # A numeric value with trailing characters is an error naming the token,
+    # not a silently truncated run; the removed --engine flag is an unknown
+    # flag. Neither may write --out.
+    out = tmpdir + "/never.jsonl"
+    cases = [
+        (["fleet", "--nodes", "8x", "--out", out], "8x"),
+        (["fleet", "--nodes", "4", "--engine", "batch", "--out", out], "--engine"),
+    ]
+    for args, token in cases:
+        proc = subprocess.run([cli] + args, capture_output=True, text=True,
+                              timeout=600, check=False)
+        if proc.returncode == 0:
+            raise SystemExit(f"FAIL: {' '.join(args)} exited 0")
+        if token not in proc.stderr:
+            raise SystemExit(f"FAIL: error for {' '.join(args)} does not name {token}: "
+                             f"{proc.stderr!r}")
+    import os
+
+    if os.path.exists(out):
+        raise SystemExit("FAIL: a rejected numeric value or flag still wrote --out")
+    print("ok: malformed values and the removed --engine flag exit non-zero")
+
+
 def main():
     if len(sys.argv) < 2:
         raise SystemExit("usage: test_cli_stream.py <path-to-magus-cli>")
@@ -121,6 +146,7 @@ def main():
         check_stream_purity(cli)
         check_stream_matches_file(cli, tmpdir)
         check_strict_flags(cli, tmpdir)
+        check_strict_values(cli, tmpdir)
     print("PASS")
 
 

@@ -11,7 +11,7 @@
 //   magus-cli overhead --system intel_a100 [--duration 600]
 //       Table 2 protocol on one system.
 //   magus-cli fleet [--nodes 256] [--seed 2025] [--jobs N] [--shard-size 16]
-//                   [--engine batch|per-node] [--manifest in.jsonl]
+//                   [--manifest in.jsonl]
 //                   [--save-manifest out.jsonl] [--out rollup.jsonl|-]
 //                   [--fault-rate P] [--fault-seed S]
 //                   [--dies N] [--numa-skew X] [--policy NAME] [--power-cap W]
@@ -20,16 +20,15 @@
 //       per-policy rollups (Joules saved vs an all-default fleet, slowdown
 //       percentiles). Without --manifest a deterministic synthetic fleet of
 //       --nodes nodes is generated. Rollups are bit-identical for any
-//       --jobs count and either --engine value (both run every node on the
-//       same simulator loop; batch schedules a shard's runs together,
-//       per-node runs them one by one); --out writes the canonical JSONL
+//       --jobs count and shard size; --out writes the canonical JSONL
 //       dump ("-" streams it to stdout with all human output on stderr).
 //       --power-budget water-fills a global Watts budget across nodes per
 //       --budget-epoch of simulated time; --policy/--power-cap rewrite every
 //       node, so a saved fleet can be replayed under a cap-aware comparator.
 //
 // Exit codes: 0 ok, 1 usage error (no command, or a required flag missing),
-// 2 error (including an unknown, repeated or value-less flag).
+// 2 error (including an unknown, repeated or value-less flag, and a numeric
+// flag value with trailing characters, a stray sign or a non-finite value).
 
 #include <fstream>
 #include <iostream>
@@ -63,8 +62,6 @@ int usage() {
             << "                [--metrics-out metrics.prom]\n"
             << "  magus-cli overhead --system <name> [--duration seconds]\n"
             << "  magus-cli fleet [--nodes N] [--seed S] [--jobs N] [--shard-size N]\n"
-            << "                  [--engine batch|per-node]   (same simulator, same "
-               "results)\n"
             << "                  [--manifest in.jsonl] [--save-manifest out.jsonl] "
                "[--out rollup.jsonl|-]\n"
             << "                  [--fault-rate P] [--fault-seed S]   (deterministic "
@@ -90,10 +87,19 @@ const common::FlagSpec kRunFlags{
     {"system", "app", "policy", "reps", "seed", "gpus", "jobs", "trace", "metrics-out"}, {}};
 const common::FlagSpec kOverheadFlags{{"system", "duration"}, {}};
 const common::FlagSpec kFleetFlags{
-    {"nodes", "seed", "jobs", "shard-size", "engine", "manifest", "save-manifest", "out",
-     "fault-rate", "fault-seed", "dies", "numa-skew", "policy", "power-cap", "power-budget",
-     "budget-epoch"},
+    {"nodes", "seed", "jobs", "shard-size", "manifest", "save-manifest", "out", "fault-rate",
+     "fault-seed", "dies", "numa-skew", "policy", "power-cap", "power-budget", "budget-epoch"},
     {}};
+
+/// A numeric flag value through one of the strict common::parse_* parsers;
+/// a malformed value is a ConfigError naming the flag and the token.
+template <typename Parse>
+auto number_flag(const std::map<std::string, std::string>& flags, const std::string& name,
+                 Parse parse) {
+  std::string label = "--";
+  label += name;
+  return common::parse_labeled(label, flags.at(name), parse);
+}
 
 int cmd_list() {
   std::cout << "systems:\n";
@@ -122,7 +128,7 @@ int cmd_list() {
 /// honors on its own) and report the effective worker count.
 std::size_t configure_jobs(const std::map<std::string, std::string>& flags) {
   if (flags.count("jobs")) {
-    const int jobs = std::stoi(flags.at("jobs"));
+    const int jobs = number_flag(flags, "jobs", common::parse_int);
     if (jobs < 1) throw common::ConfigError("--jobs must be >= 1");
     common::set_default_jobs(static_cast<std::size_t>(jobs));
   }
@@ -140,14 +146,14 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   const std::size_t workers = configure_jobs(flags);
 
   exp::RepeatSpec reps;
-  if (flags.count("reps")) reps.repetitions = std::stoi(flags.at("reps"));
-  if (flags.count("seed")) reps.seed = std::stoull(flags.at("seed"));
+  if (flags.count("reps")) reps.repetitions = number_flag(flags, "reps", common::parse_int);
+  if (flags.count("seed")) reps.seed = number_flag(flags, "seed", common::parse_u64);
 
   wl::PhaseProgram program = app.size() > 4 && app.substr(app.size() - 4) == ".csv"
                                   ? wl::load_program_csv(app)
                                   : wl::make_workload(app);
   if (flags.count("gpus")) {
-    program = wl::scale_for_gpus(program, std::stoi(flags.at("gpus")));
+    program = wl::scale_for_gpus(program, number_flag(flags, "gpus", common::parse_int));
   }
 
   std::cout << "running " << app << " on " << system.name << " (policy "
@@ -223,35 +229,49 @@ int cmd_fleet(const std::map<std::string, std::string>& flags) {
   if (flags.count("manifest")) {
     manifest = fleet::FleetManifest::load(flags.at("manifest"));
   } else {
-    const int nodes = flags.count("nodes") ? std::stoi(flags.at("nodes")) : 256;
+    const int nodes =
+        flags.count("nodes") ? number_flag(flags, "nodes", common::parse_int) : 256;
     const std::uint64_t seed =
-        flags.count("seed") ? std::stoull(flags.at("seed")) : 2025ull;
+        flags.count("seed") ? number_flag(flags, "seed", common::parse_u64) : 2025ull;
     manifest = fleet::synth_fleet(nodes, seed);
   }
-  if (flags.count("shard-size")) manifest.shard_size(std::stoi(flags.at("shard-size")));
+  if (flags.count("shard-size")) {
+    manifest.shard_size(number_flag(flags, "shard-size", common::parse_int));
+  }
   // Fault flags override whatever the manifest carries, so a saved fleet can
   // be replayed under different fault weather.
-  if (flags.count("fault-rate")) manifest.fault_rate(std::stod(flags.at("fault-rate")));
-  if (flags.count("fault-seed")) manifest.fault_seed(std::stoull(flags.at("fault-seed")));
+  if (flags.count("fault-rate")) {
+    manifest.fault_rate(number_flag(flags, "fault-rate", common::parse_double));
+  }
+  if (flags.count("fault-seed")) {
+    manifest.fault_seed(number_flag(flags, "fault-seed", common::parse_u64));
+  }
   // Fleet power budgeting: a global Watts budget water-filled across nodes
   // per epoch of simulated time (fleet/allocator.hpp).
   if (flags.count("power-budget")) {
-    manifest.power_budget_w(std::stod(flags.at("power-budget")));
+    manifest.power_budget_w(number_flag(flags, "power-budget", common::parse_double));
   }
   if (flags.count("budget-epoch")) {
-    manifest.budget_epoch_s(std::stod(flags.at("budget-epoch")));
+    manifest.budget_epoch_s(number_flag(flags, "budget-epoch", common::parse_double));
   }
   // Node knobs rewrite every node, same override semantics as the fault
   // flags: a saved manifest can be replayed under a different policy, a
-  // per-node cap, more dies per socket, or a NUMA-skewed traffic split
-  // without editing the file.
+  // static cap on every node, more dies per socket, or a NUMA-skewed traffic
+  // split without editing the file. Values are parsed once, up front, so a
+  // malformed one fails before any node is touched.
   if (flags.count("policy") || flags.count("power-cap") || flags.count("dies") ||
       flags.count("numa-skew")) {
-    manifest.mutate_nodes([&flags](fleet::NodeSpec& node) {
+    const bool has_cap = flags.count("power-cap") != 0;
+    const bool has_dies = flags.count("dies") != 0;
+    const bool has_skew = flags.count("numa-skew") != 0;
+    const double cap = has_cap ? number_flag(flags, "power-cap", common::parse_double) : 0.0;
+    const int dies = has_dies ? number_flag(flags, "dies", common::parse_int) : 1;
+    const double skew = has_skew ? number_flag(flags, "numa-skew", common::parse_double) : 0.0;
+    manifest.mutate_nodes([&](fleet::NodeSpec& node) {
       if (flags.count("policy")) node.policy(flags.at("policy"));
-      if (flags.count("power-cap")) node.power_cap_w(std::stod(flags.at("power-cap")));
-      if (flags.count("dies")) node.dies(std::stoi(flags.at("dies")));
-      if (flags.count("numa-skew")) node.numa_skew(std::stod(flags.at("numa-skew")));
+      if (has_cap) node.power_cap_w(cap);
+      if (has_dies) node.dies(dies);
+      if (has_skew) node.numa_skew(skew);
     });
   }
   if (flags.count("save-manifest")) manifest.save(flags.at("save-manifest"));
@@ -261,23 +281,9 @@ int cmd_fleet(const std::map<std::string, std::string>& flags) {
     std::cerr << "warning: --shard-size " << manifest.shard_size() << " exceeds the fleet ("
               << runner.nodes_total() << " nodes); clamping to one full-fleet shard\n";
   }
-  fleet::FleetEngine engine = fleet::FleetEngine::kBatch;
-  if (flags.count("engine")) {
-    const std::string& name = flags.at("engine");
-    if (name == "batch") {
-      engine = fleet::FleetEngine::kBatch;
-    } else if (name == "per-node") {
-      engine = fleet::FleetEngine::kPerNode;
-    } else {
-      throw common::ConfigError("--engine must be 'batch' or 'per-node' (got '" + name +
-                                "')");
-    }
-  }
-  runner.set_engine(engine);
   info << "simulating fleet: " << runner.nodes_total() << " nodes (seed "
-       << manifest.seed() << ", shard size " << manifest.shard_size() << ", "
-       << (engine == fleet::FleetEngine::kBatch ? "batch" : "per-node") << " engine, "
-       << workers << " worker" << (workers == 1 ? "" : "s");
+       << manifest.seed() << ", shard size " << manifest.shard_size() << ", " << workers
+       << " worker" << (workers == 1 ? "" : "s");
   if (manifest.fault().enabled()) {
     info << ", fault rate " << manifest.fault().rate << " seed "
          << manifest.fault().seed;
@@ -369,7 +375,7 @@ int cmd_fleet(const std::map<std::string, std::string>& flags) {
 int cmd_overhead(const std::map<std::string, std::string>& flags) {
   const auto system = sim::system_by_name(flags.at("system"));
   const double duration =
-      flags.count("duration") ? std::stod(flags.at("duration")) : 600.0;
+      flags.count("duration") ? number_flag(flags, "duration", common::parse_double) : 600.0;
   const auto r = exp::measure_overhead(system, duration);
   std::cout << "system " << r.system << " (idle " << common::TextTable::num(r.idle_power_w, 1)
             << " W)\n"

@@ -119,8 +119,9 @@ struct Telemetry {
       }
       exporter = std::make_unique<telemetry::HttpExporter>(
           registry, static_cast<std::uint16_t>(port));
+      // Flushed: a supervisor (or test) reads the bound port off this line.
       std::cout << "[magus-daemon] serving /metrics and /healthz on port "
-                << exporter->port() << "\n";
+                << exporter->port() << std::endl;
     }
   }
 
@@ -219,12 +220,11 @@ class FleetService {
   struct Job {
     std::uint64_t id = 0;
     fleet::FleetManifest manifest;
-    fleet::FleetEngine engine = fleet::FleetEngine::kBatch;
   };
 
   static std::string query_param(const std::string& query, const std::string& key) {
-    // key=value pairs separated by '&'; values are plain integers here, so
-    // no percent-decoding is needed.
+    // key=value pairs separated by '&'; values are plain numbers and
+    // registry names, so no percent-decoding is needed.
     std::size_t pos = 0;
     while (pos < query.size()) {
       std::size_t amp = query.find('&', pos);
@@ -253,29 +253,46 @@ class FleetService {
           return res;
         }
         const std::string seed = query_param(req.query, "seed");
-        manifest = fleet::synth_fleet(common::parse_int(nodes),
-                                      seed.empty() ? 2025 : std::stoull(seed));
+        manifest = fleet::synth_fleet(
+            common::parse_labeled("nodes", nodes, common::parse_int),
+            seed.empty() ? 2025 : common::parse_labeled("seed", seed, common::parse_u64));
       }
       // Fault weather applies to posted manifests too: query params override
       // whatever the manifest carries.
       const std::string fault_rate = query_param(req.query, "fault_rate");
-      if (!fault_rate.empty()) manifest.fault_rate(std::stod(fault_rate));
+      if (!fault_rate.empty()) {
+        manifest.fault_rate(
+            common::parse_labeled("fault_rate", fault_rate, common::parse_double));
+      }
       const std::string fault_seed = query_param(req.query, "fault_seed");
-      if (!fault_seed.empty()) manifest.fault_seed(std::stoull(fault_seed));
+      if (!fault_seed.empty()) {
+        manifest.fault_seed(
+            common::parse_labeled("fault_seed", fault_seed, common::parse_u64));
+      }
       // Power budgeting, same override contract: ?power_budget=W water-fills
       // a global budget per ?budget_epoch=S of simulated time; ?policy=NAME
       // and ?power_cap=W rewrite every node, so a stored fleet can be
       // replayed under a cap-aware comparator.
       const std::string power_budget = query_param(req.query, "power_budget");
-      if (!power_budget.empty()) manifest.power_budget_w(std::stod(power_budget));
+      if (!power_budget.empty()) {
+        manifest.power_budget_w(
+            common::parse_labeled("power_budget", power_budget, common::parse_double));
+      }
       const std::string budget_epoch = query_param(req.query, "budget_epoch");
-      if (!budget_epoch.empty()) manifest.budget_epoch_s(std::stod(budget_epoch));
+      if (!budget_epoch.empty()) {
+        manifest.budget_epoch_s(
+            common::parse_labeled("budget_epoch", budget_epoch, common::parse_double));
+      }
       const std::string policy = query_param(req.query, "policy");
       const std::string power_cap = query_param(req.query, "power_cap");
       if (!policy.empty() || !power_cap.empty()) {
+        double cap = 0.0;
+        if (!power_cap.empty()) {
+          cap = common::parse_labeled("power_cap", power_cap, common::parse_double);
+        }
         manifest.mutate_nodes([&](fleet::NodeSpec& node) {
           if (!policy.empty()) node.policy(policy);
-          if (!power_cap.empty()) node.power_cap_w(std::stod(power_cap));
+          if (!power_cap.empty()) node.power_cap_w(cap);
         });
       }
       manifest.validate_or_throw();
@@ -284,23 +301,12 @@ class FleetService {
       res.body = std::string(e.what()) + "\n";
       return res;
     }
-    // ?engine=batch|per-node picks how a shard's runs are scheduled; both
-    // run the same simulator loop and yield byte-identical rollups.
-    fleet::FleetEngine engine = fleet::FleetEngine::kBatch;
-    const std::string engine_name = query_param(req.query, "engine");
-    if (engine_name == "per-node") {
-      engine = fleet::FleetEngine::kPerNode;
-    } else if (!engine_name.empty() && engine_name != "batch") {
-      res.status = 400;
-      res.body = "engine must be 'batch' or 'per-node' (got '" + engine_name + "')\n";
-      return res;
-    }
 
     std::uint64_t id = 0;
     {
       const common::LockGuard lock(mutex_);
       id = next_job_id_++;
-      queue_.push_back(Job{id, std::move(manifest), engine});
+      queue_.push_back(Job{id, std::move(manifest)});
     }
     cv_.notify_one();
     telemetry::inc(m_jobs_submitted_);
@@ -359,7 +365,6 @@ class FleetService {
       }
       try {
         fleet::FleetRunner runner(std::move(job.manifest));
-        runner.set_engine(job.engine);
         // Registers magus_fleet_* families — takes the registry's
         // registration mutex. Deliberately outside the job lock: the
         // hierarchy says mutex_ -> registry mutex is the only legal nesting,
@@ -501,9 +506,11 @@ int run_real(const std::map<std::string, std::string>& flags) {
   }
 
   const double interval =
-      flags.count("interval") ? std::stod(flags.at("interval")) : 0.2;
-  const double min_ghz = flags.count("min-ghz") ? std::stod(flags.at("min-ghz")) : 0.8;
-  const double max_ghz = flags.count("max-ghz") ? std::stod(flags.at("max-ghz")) : 2.2;
+      flags.count("interval") ? common::parse_double(flags.at("interval")) : 0.2;
+  const double min_ghz =
+      flags.count("min-ghz") ? common::parse_double(flags.at("min-ghz")) : 0.8;
+  const double max_ghz =
+      flags.count("max-ghz") ? common::parse_double(flags.at("max-ghz")) : 2.2;
   const int max_failures = flags.count("max-sample-failures")
                                ? common::parse_int(flags.at("max-sample-failures"))
                                : 25;
