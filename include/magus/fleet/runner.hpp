@@ -165,6 +165,10 @@ class FleetRunner {
   /// (manifest seed, node index), so no schedule can change them.
   struct NodeInputs;
   [[nodiscard]] NodeInputs node_inputs(std::size_t index) const;
+  /// The system (preset plus the manifest's domain knobs) and jittered
+  /// program alone, with default run options: what node_inputs and the
+  /// budget pre-pass share.
+  [[nodiscard]] NodeInputs node_workload(std::size_t index) const;
 
   /// Budget pre-pass (constructor only, serial): estimate per-epoch demand
   /// for every node from its jittered phase program, water-fill the global

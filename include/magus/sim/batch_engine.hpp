@@ -1,13 +1,10 @@
 #pragma once
-// BatchEngine: many independent simulator runs advanced by one scheduler.
+// BatchEngine: many independent simulator runs behind one interface.
 //
-// A lane is one SimEngine plus the policy hook bound to it. run_all starts
-// every lane, then steps a block of lanes round-robin from one sample
-// boundary to the next (SimEngine::advance, ~150 ticks a step) until the
-// block drains, then moves to the next block. Lanes share nothing, so a
-// lane's result is exactly what SimEngine::run returns for the same
-// (system, program, config, hook): there is one tick loop and one set of
-// simulator backends, and a lane is that loop run under a scheduler.
+// A lane is one SimEngine plus the policy hook bound to it. run_all runs
+// every lane through SimEngine::run in lane order, so a lane's result is
+// exactly what SimEngine::run returns for the same (system, program,
+// config, hook): there is one tick loop and one set of simulator backends.
 //
 // A lane whose policy throws (at start or at a sample boundary) is marked
 // failed and keeps the exception; its siblings run on unaffected.
@@ -17,7 +14,6 @@
 #include <exception>
 #include <string>
 
-#include "magus/common/thread_annotations.hpp"
 #include "magus/sim/engine.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/wl/phase.hpp"
@@ -97,11 +93,6 @@ class BatchEngine {
     std::exception_ptr error;
     std::string message;
   };
-
-  /// Advance one lane to its next sample boundary; true once it is done
-  /// (finished or failed). MAGUS_LOCK_FREE: runs only inside run_all's
-  /// HotPathSection.
-  [[nodiscard]] bool step_lane(Lane& lane) MAGUS_LOCK_FREE;
 
   std::deque<Lane> lanes_;  ///< deque: lane addresses stay stable
   unsigned long long total_ticks_ = 0;

@@ -2,48 +2,74 @@
 // Core domain: the stock per-core DVFS governor (cores *do* adapt to load,
 // unlike the uncore -- paper Fig. 1a) plus the core power model and the
 // fixed-counter state (instructions / cycles) the UPS baseline reads. The
-// tick/power arithmetic lives in sim/kernel.hpp (kern::core_tick /
-// kern::core_power_w); this class wraps a kern::CoreState.
+// per-tick methods are defined inline; keep their expression order (the
+// goldens pin the bit patterns).
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "magus/common/quantity.hpp"
-#include "magus/sim/kernel.hpp"
 #include "magus/sim/system_preset.hpp"
 
 namespace magus::sim {
 
 class CoreModel {
  public:
-  explicit CoreModel(const CpuSpec& spec);
+  explicit CoreModel(const CpuSpec& spec)
+      : min_ghz_(spec.core_min_ghz),
+        max_ghz_(spec.core_max_ghz),
+        idle_w_(spec.core_idle_w),
+        dyn_w_(spec.core_dyn_w),
+        total_cores_(spec.total_cores()),
+        freq_ghz_(min_ghz_) {}
 
   /// Advance one tick: `util` in [0,1] is average active-core utilisation,
   /// `ipc_eff` the effective instructions-per-cycle after memory stalls.
-  void tick(double dt, double util, double ipc_eff);
+  void tick(double dt, double util, double ipc_eff) {
+    util = std::clamp(util, 0.0, 1.0);
+    // Stock DVFS: frequency follows load, saturating toward max under load.
+    const double target = std::min(max_ghz_, min_ghz_ + (max_ghz_ - min_ghz_) * util * 1.4);
+    const double alpha = 1.0 - std::exp(-dt / kGovernorTau);
+    freq_ghz_ += (target - freq_ghz_) * alpha;
+
+    // Fixed counters advance only while cores are unhalted.
+    const double active = std::max(util, 0.02);  // housekeeping threads
+    const double cycles_delta = freq_ghz_ * 1e9 * active * dt;
+    cycles_ += cycles_delta;
+    instructions_ += cycles_delta * std::max(0.05, ipc_eff);
+  }
 
   /// Governor-driven average core frequency (GHz).
-  [[nodiscard]] double freq_ghz() const noexcept { return st_.freq_ghz; }
+  [[nodiscard]] double freq_ghz() const noexcept { return freq_ghz_; }
 
   /// Display frequency of a representative core (adds per-core spread, used
   /// by the Fig. 1 trace channels).
   [[nodiscard]] double display_freq_ghz(int core, common::Seconds now) const noexcept;
 
   /// Core (non-uncore) power per socket at the current operating point.
-  [[nodiscard]] double power_w(double util) const noexcept;
+  [[nodiscard]] double power_w(double util) const noexcept {
+    util = std::clamp(util, 0.0, 1.0);
+    const double ffrac = freq_ghz_ / max_ghz_;
+    return idle_w_ + dyn_w_ * util * ffrac * ffrac;
+  }
 
   /// Cumulative fixed counters for core `c` (node-wide indexing).
   [[nodiscard]] std::uint64_t instructions_retired(int core) const;
   [[nodiscard]] std::uint64_t cycles_unhalted(int core) const;
   [[nodiscard]] int core_count() const noexcept { return total_cores_; }
 
-  /// Raw kernel state, shared with kern::node_tick.
-  [[nodiscard]] kern::CoreState& st() noexcept { return st_; }
-  [[nodiscard]] const kern::CoreState& st() const noexcept { return st_; }
-
  private:
-  kern::CoreParams params_;
+  static constexpr double kGovernorTau = 0.15;  ///< governor smoothing (s)
+
+  double min_ghz_;
+  double max_ghz_;
+  double idle_w_;
+  double dyn_w_;
   int total_cores_;
-  kern::CoreState st_;
+  double freq_ghz_;
+  double cycles_ = 0.0;        ///< per-core cumulative unhalted cycles
+  double instructions_ = 0.0;  ///< per-core cumulative retired instructions
 };
 
 }  // namespace magus::sim

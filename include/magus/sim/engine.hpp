@@ -8,23 +8,17 @@
 // mechanism that makes Table 2's MAGUS/UPS overhead gap fall out of the
 // number of counters each method reads.
 //
-// A run is resumable: start (bind the hook, fire on_start), advance (tick
-// to the next sample boundary, invoke on_sample there), finish (assemble
-// the result). run() strings the three together; BatchEngine interleaves
-// many engines' advance steps, so a fleet lane and a standalone run execute
-// the very same code.
+// A BatchEngine lane is a SimEngine whose run() the batch calls, so a fleet
+// lane and a standalone run execute the very same code.
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "magus/common/quantity.hpp"
-#include "magus/common/thread_annotations.hpp"
 #include "magus/sim/backends.hpp"
 #include "magus/sim/node.hpp"
-#include "magus/sim/program_executor.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/trace/recorder.hpp"
 #include "magus/wl/phase.hpp"
@@ -122,21 +116,6 @@ class SimEngine {
   [[nodiscard]] const trace::TraceRecorder& recorder() const noexcept { return recorder_; }
 
  private:
-  friend class BatchEngine;
-
-  /// Bind `policy` (it must outlive the run) and fire its on_start.
-  void start(const PolicyHook& policy);
-  /// Tick to the next sample boundary and invoke on_sample there; true once
-  /// the program has completed or hit the safety cap (no sample then).
-  /// MAGUS_LOCK_FREE: callers hold a HotPathSection, so taking any
-  /// AnnotatedMutex in its body is a compile error under Clang. (The policy
-  /// callbacks are std::function, opaque to the analysis; they manage their
-  /// own hot sections.)
-  [[nodiscard]] bool advance() MAGUS_LOCK_FREE;
-  /// Assemble the result of the run that advance() just completed.
-  [[nodiscard]] SimResult finish();
-  /// Invoke on_sample at the current time and charge its measured cost.
-  void sample();
   void record_tick(double t, const WorkSlice& slice, const TickOutput& out);
 
   wl::PhaseProgram program_;
@@ -151,18 +130,6 @@ class SimEngine {
   SimUncoreDomainSet domains_;
   trace::TraceRecorder recorder_;
   std::vector<std::string> core_channels_;  ///< core_freq_ghz_<c>, built once
-
-  // State of the run in progress, between start() and finish().
-  const PolicyHook* hook_ = nullptr;
-  std::optional<ProgramExecutor> executor_;
-  SimResult result_;
-  double t_ = 0.0;
-  double max_sim_ = 0.0;
-  double next_sample_t_ = 0.0;
-  double next_record_t_ = 0.0;
-  double monitor_busy_until_ = 0.0;
-  double monitor_power_w_ = 0.0;
-  unsigned long long ticks_ = 0;
 
   // Telemetry handles; all nullptr until attach_telemetry.
   telemetry::Counter* m_steps_ = nullptr;

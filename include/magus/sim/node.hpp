@@ -1,10 +1,8 @@
 #pragma once
 // NodeModel: the whole heterogeneous node -- sockets (core + uncore + DRAM),
 // GPUs, the stock firmware governor, and the cumulative counters the hw
-// backends (sim/backends.hpp) expose to runtimes. The per-tick arithmetic is
-// kern::node_tick (sim/kernel.hpp), instantiated here over the member model
-// objects; tick() is the only place it runs, for standalone engines and
-// BatchEngine lanes alike.
+// backends (sim/backends.hpp) expose to runtimes. tick() composes the member
+// model objects into one node step; SimEngine drives it.
 
 #include <cstddef>
 #include <cstdint>
@@ -15,15 +13,40 @@
 #include "magus/sim/core_model.hpp"
 #include "magus/sim/firmware_governor.hpp"
 #include "magus/sim/gpu_model.hpp"
-#include "magus/sim/kernel.hpp"
 #include "magus/sim/memory_system.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/sim/uncore_model.hpp"
 
 namespace magus::sim {
 
+/// Hard cap on sockets * dies_per_socket: the per-domain tick path uses
+/// fixed stack scratch (no heap in the hot path). Enforced by the NodeModel
+/// constructor and by manifest validation.
+inline constexpr int kMaxDomains = 64;
+
+/// Instantaneous workload requirements for one tick.
+struct WorkSlice {
+  double demand_mbps = 0.0;     ///< node-wide DRAM traffic demand
+  double mem_bound_frac = 0.0;  ///< progress fraction gated on memory
+  double cpu_util = 0.0;
+  double gpu_util = 0.0;
+};
+
+/// Results of one tick, consumed by the engine for progress + tracing.
+struct TickOutput {
+  double progress_rate = 1.0;  ///< d(progress)/dt, <= 1 when stretched
+  double delivered_mbps = 0.0;
+  double pkg_power_w = 0.0;   ///< all sockets
+  double dram_power_w = 0.0;  ///< all sockets
+  double gpu_power_w = 0.0;   ///< all boards
+  double uncore_freq_ghz = 0.0;
+  double stretch = 1.0;
+};
+
 class NodeModel {
  public:
+  /// Throws ConfigError on dies_per_socket < 1, numa_skew outside [0, 1) or
+  /// more than kMaxDomains uncore domains.
   NodeModel(SystemSpec spec, std::uint64_t noise_seed);
 
   /// Advance the node by dt under `slice`; `monitor_extra_w` is the power of
@@ -83,10 +106,7 @@ class NodeModel {
   [[nodiscard]] const TickOutput& last() const noexcept { return last_; }
 
  private:
-  struct LaneView;  // adapts the member objects to the kern::node_tick concept
-
   SystemSpec spec_;
-  kern::NodeParams params_;
   std::vector<UncoreModel> uncores_;
   std::vector<FirmwareGovernor> firmware_;
   CoreModel cores_;

@@ -5,7 +5,7 @@
 
 #include <cstddef>
 
-#include "magus/sim/kernel.hpp"
+#include "magus/sim/node.hpp"
 #include "magus/wl/phase.hpp"
 
 namespace magus::sim {

@@ -75,7 +75,7 @@ struct SystemSpec {
   double tdp_backoff_frac = 0.93;
   /// NUMA skew in [0,1): this fraction of memory demand pins to domain 0,
   /// the remainder spreads evenly across all uncore domains. 0 = uniform.
-  /// Any non-zero value (or dies_per_socket > 1) switches the node kernel
+  /// Any non-zero value (or dies_per_socket > 1) switches NodeModel::tick
   /// to the per-domain memory path.
   double numa_skew = 0.0;
 };

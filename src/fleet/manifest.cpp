@@ -11,7 +11,7 @@
 #include "magus/common/parse.hpp"
 #include "magus/core/policy_factory.hpp"
 #include "magus/exp/experiment_config.hpp"
-#include "magus/sim/kernel.hpp"
+#include "magus/sim/node.hpp"
 #include "magus/sim/system_preset.hpp"
 #include "magus/telemetry/event_log.hpp"
 #include "magus/wl/catalog.hpp"
@@ -40,8 +40,8 @@ std::vector<std::string> NodeSpec::validate(const std::string& prefix) const {
   if (name_.empty()) add("node name must not be empty");
   try {
     const sim::SystemSpec system = sim::system_by_name(system_);
-    if (dies_ >= 1 && system.cpu.sockets * dies_ > sim::kern::kMaxDomains) {
-      add("sockets * dies exceeds " + std::to_string(sim::kern::kMaxDomains) + " (got " +
+    if (dies_ >= 1 && system.cpu.sockets * dies_ > sim::kMaxDomains) {
+      add("sockets * dies exceeds " + std::to_string(sim::kMaxDomains) + " (got " +
           std::to_string(system.cpu.sockets * dies_) + ")");
     }
   } catch (const common::Error&) {

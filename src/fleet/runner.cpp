@@ -62,6 +62,14 @@ std::string join_doubles(const std::vector<double>& values) {
 
 }  // namespace
 
+/// One node's inputs (system preset, jittered workload, run options), shared
+/// by its policy run and its twin and built only from manifest data.
+struct FleetRunner::NodeInputs {
+  sim::SystemSpec system;
+  wl::PhaseProgram jittered;
+  exp::RunOptions opts;
+};
+
 FleetRunner::FleetRunner(FleetManifest manifest) : manifest_(std::move(manifest)) {
   manifest_.validate_or_throw();
   expanded_ = manifest_.expand();
@@ -79,9 +87,9 @@ void FleetRunner::compute_power_caps() {
   const double budget_w = manifest_.power_budget_w();
   if (budget_w <= 0.0) return;  // static node caps only, no allocation
 
-  // Per-node demand profiles from the same jittered programs node_inputs
-  // will later hand the engines (re-derived here, identically: the fork is
-  // order-independent, so walking nodes twice changes nothing).
+  // Per-node demand profiles from the same systems and jittered programs
+  // node_inputs will later hand the engines (the fork is order-independent,
+  // so deriving them twice changes nothing).
   const double epoch_s = manifest_.budget_epoch_s();
   std::vector<sim::SystemSpec> systems;
   std::vector<wl::PhaseProgram> programs;
@@ -89,12 +97,9 @@ void FleetRunner::compute_power_caps() {
   programs.reserve(total);
   double span_s = 0.0;
   for (std::size_t i = 0; i < total; ++i) {
-    const NodeSpec& spec = expanded_[i];
-    common::Rng node_rng = common::Rng(manifest_.seed()).fork(i);
-    wl::PhaseProgram program = wl::make_workload(spec.app());
-    if (spec.gpus() > 1) program = wl::scale_for_gpus(program, spec.gpus());
-    programs.push_back(wl::apply_jitter(program, node_rng, manifest_.jitter()));
-    systems.push_back(sim::system_by_name(spec.system()));
+    NodeInputs in = node_workload(i);
+    systems.push_back(std::move(in.system));
+    programs.push_back(std::move(in.jittered));
     span_s = std::max(span_s, programs.back().nominal_duration_s());
   }
   const std::size_t epochs =
@@ -156,21 +161,12 @@ void FleetRunner::attach_telemetry(telemetry::MetricsRegistry& reg,
       "Mean per-epoch Watts of estimated demand the budget could not fund");
 }
 
-/// One node's inputs (system preset, jittered workload, run options), shared
-/// by its policy run and its twin and built only from manifest data.
-struct FleetRunner::NodeInputs {
-  sim::SystemSpec system;
-  wl::PhaseProgram jittered;
-  exp::RunOptions opts;
-};
-
-FleetRunner::NodeInputs FleetRunner::node_inputs(std::size_t index) const {
+FleetRunner::NodeInputs FleetRunner::node_workload(std::size_t index) const {
   const NodeSpec& spec = expanded_[index];
 
   // Node identity drives all randomness: the jitter stream is forked from
-  // the manifest seed by node index (fork is order-independent), and the
-  // engine noise seed is derived the same way exp::run_repeated derives
-  // per-repetition seeds. Nothing depends on scheduling.
+  // the manifest seed by node index (fork is order-independent). Nothing
+  // depends on scheduling.
   common::Rng node_rng = common::Rng(manifest_.seed()).fork(index);
   wl::PhaseProgram program = wl::make_workload(spec.app());
   if (spec.gpus() > 1) program = wl::scale_for_gpus(program, spec.gpus());
@@ -181,6 +177,14 @@ FleetRunner::NodeInputs FleetRunner::node_inputs(std::size_t index) const {
   // every preset, so legacy specs reproduce the pre-domain inputs exactly.
   in.system.cpu.dies_per_socket = spec.dies();
   in.system.numa_skew = spec.numa_skew();
+  return in;
+}
+
+FleetRunner::NodeInputs FleetRunner::node_inputs(std::size_t index) const {
+  const NodeSpec& spec = expanded_[index];
+  NodeInputs in = node_workload(index);
+  // The engine noise seed is derived the same way exp::run_repeated derives
+  // per-repetition seeds.
   in.opts.engine.seed = manifest_.seed() * 1000003ull + index;
   in.opts.engine.record_traces = false;
   in.opts.static_ghz = spec.static_uncore();

@@ -1,31 +1,16 @@
 #include "magus/sim/core_model.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace magus::sim {
-
-CoreModel::CoreModel(const CpuSpec& spec)
-    : params_{spec.core_min_ghz, spec.core_max_ghz, spec.core_idle_w, spec.core_dyn_w},
-      total_cores_(spec.total_cores()),
-      st_(kern::init_core(params_)) {}
-
-void CoreModel::tick(double dt, double util, double ipc_eff) {
-  kern::core_tick(st_, params_, dt, util, ipc_eff);
-}
 
 double CoreModel::display_freq_ghz(int core, common::Seconds now) const noexcept {
   // Per-core spread: each core's governor hunts independently; a small
   // phase-shifted oscillation reproduces the scatter in Fig. 1a.
   const double phase = static_cast<double>(core) * 0.37;
   const double wobble = 0.04 * std::sin(6.2831853 * (now.value() / 1.1 + phase));
-  const double f = st_.freq_ghz * (1.0 + wobble);
-  return std::clamp(f, params_.min_ghz, params_.max_ghz);
-}
-
-double CoreModel::power_w(double util) const noexcept {
-  return kern::core_power_w(st_, params_, util);
+  const double f = freq_ghz_ * (1.0 + wobble);
+  return std::clamp(f, min_ghz_, max_ghz_);
 }
 
 std::uint64_t CoreModel::instructions_retired(int core) const {
@@ -34,7 +19,7 @@ std::uint64_t CoreModel::instructions_retired(int core) const {
   }
   // Symmetric workload split: all cores show the same cumulative counts,
   // offset per core so values differ (as they would on real silicon).
-  return static_cast<std::uint64_t>(st_.instructions) +
+  return static_cast<std::uint64_t>(instructions_) +
          static_cast<std::uint64_t>(core) * 977u;
 }
 
@@ -42,7 +27,7 @@ std::uint64_t CoreModel::cycles_unhalted(int core) const {
   if (core < 0 || core >= core_count()) {
     throw std::out_of_range("CoreModel: core index out of range");
   }
-  return static_cast<std::uint64_t>(st_.cycles) + static_cast<std::uint64_t>(core) * 1009u;
+  return static_cast<std::uint64_t>(cycles_) + static_cast<std::uint64_t>(core) * 1009u;
 }
 
 }  // namespace magus::sim

@@ -3,6 +3,8 @@
 #include <limits>
 
 #include "magus/common/error.hpp"
+#include "magus/common/thread_annotations.hpp"
+#include "magus/sim/program_executor.hpp"
 #include "magus/telemetry/registry.hpp"
 
 namespace magus::sim {
@@ -46,50 +48,32 @@ void SimEngine::attach_telemetry(telemetry::MetricsRegistry& reg) {
 }
 
 SimResult SimEngine::run(const PolicyHook& policy) {
-  // The whole run is a lock-free hot section: advance is MAGUS_LOCK_FREE,
-  // and this scope is what grants it the hot-path role.
+  // The whole run is a lock-free hot section: no annotated lock may be
+  // taken in this scope.
   const common::HotPathSection hot_section;
-  start(policy);
-  while (!advance()) {
-  }
-  return finish();
-}
-
-void SimEngine::start(const PolicyHook& policy) {
-  hook_ = &policy;
-  result_ = SimResult{};
-  result_.policy_name = policy.name;
-  executor_.emplace(program_);
-  t_ = 0.0;
-  ticks_ = 0;
-  max_sim_ =
-      cfg_.max_sim_s > 0.0 ? cfg_.max_sim_s : 4.0 * program_.nominal_duration_s() + 30.0;
-  next_sample_t_ = policy.on_sample ? policy.period_s : kNever;
-  next_record_t_ = cfg_.record_traces ? 0.0 : kNever;
-  monitor_busy_until_ = 0.0;
-  monitor_power_w_ = 0.0;
-  if (policy.on_start) policy.on_start(common::Seconds(0.0));
-}
-
-bool SimEngine::advance() {
-  // Run the tick loop up to the next policy boundary with the loop state
-  // held in locals, so the ~150 ticks between boundaries pay no member
-  // loads or stores. The monitor charge only changes at boundaries, so
-  // holding it constant here is exact.
-  ProgramExecutor& exec = *executor_;
+  SimResult result;
+  result.policy_name = policy.name;
+  ProgramExecutor exec(program_);
+  const CpuSpec& cpu = node_.spec().cpu;
   const double dt = cfg_.tick_s;
-  const double max_sim = max_sim_;
-  const double next_sample_t = next_sample_t_;
-  const double monitor_busy_until = monitor_busy_until_;
-  const double monitor_power_w = monitor_power_w_;
-  double next_record_t = next_record_t_;
-  double t = t_;
-  unsigned long long ticks = ticks_;
+  const double max_sim =
+      cfg_.max_sim_s > 0.0 ? cfg_.max_sim_s : 4.0 * program_.nominal_duration_s() + 30.0;
+  double next_sample_t = policy.on_sample ? policy.period_s : kNever;
+  double next_record_t = cfg_.record_traces ? 0.0 : kNever;
+  double monitor_busy_until = 0.0;
+  double monitor_power_w = 0.0;
+  double t = 0.0;
+  unsigned long long ticks = 0;
+  if (policy.on_start) policy.on_start(common::Seconds(0.0));
+
   WorkSlice slice;
   TickOutput out;
-  bool finished = false;
   for (;;) {
+    // Tick up to the next trace record or policy boundary. The monitor
+    // charge only changes at boundaries, so holding it constant here is
+    // exact.
     bool record = false;
+    bool finished = false;
     // magus:hot-path-begin
     for (;;) {
       if (exec.done() || t >= max_sim) {
@@ -109,18 +93,59 @@ bool SimEngine::advance() {
       if (t >= next_sample_t) break;
     }
     // magus:hot-path-end
-    if (!record) break;
-    record_tick(t, slice, out);
-    next_record_t = t + cfg_.record_dt_s;
-    t += dt;
-    if (t >= next_sample_t) break;
+    if (finished) break;
+    if (record) {
+      record_tick(t, slice, out);
+      next_record_t = t + cfg_.record_dt_s;
+      t += dt;
+      if (t < next_sample_t) continue;
+    }
+
+    // Policy boundary: invoke on_sample and charge its measured cost.
+    const AccessMeter before = meter_;
+    policy.on_sample(common::Seconds(t));
+    const auto msr_delta =
+        (meter_.msr_reads - before.msr_reads) + (meter_.msr_writes - before.msr_writes);
+    const auto pcm_delta = meter_.pcm_reads - before.pcm_reads;
+    const double cost = static_cast<double>(msr_delta) * cpu.msr_read_latency_s +
+                        static_cast<double>(pcm_delta) * cpu.pcm_read_latency_s;
+    const double equiv_reads = static_cast<double>(msr_delta) +
+                               cpu.pcm_equivalent_reads * static_cast<double>(pcm_delta);
+    monitor_power_w = cpu.monitor_base_power_w + cpu.monitor_per_read_power_w * equiv_reads;
+    monitor_busy_until = t + cost;
+    ++result.invocations;
+    result.total_invocation_s += cost;
+    // Next monitoring cycle starts `period` after this invocation returns
+    // (paper section 6.5: 0.1 s invocation + 0.2 s period = 0.3 s cadence).
+    next_sample_t = t + cost + policy.period_s;
+    // Live progress for a scraping exporter, keyed on sim time only.
+    telemetry::set(m_sim_time_, t);
   }
-  t_ = t;
-  ticks_ = ticks;
-  next_record_t_ = next_record_t;
-  if (finished) return true;
-  sample();
-  return false;
+
+  result.completed = exec.done();
+  result.duration_s = t;
+  result.ticks = ticks;
+  result.pkg_energy_j = node_.total_pkg_energy_j();
+  result.dram_energy_j = node_.total_dram_energy_j();
+  result.gpu_energy_j = node_.gpu().energy_j();
+  if (t > 0.0) {
+    result.avg_pkg_power_w = result.pkg_energy_j / t;
+    result.avg_dram_power_w = result.dram_energy_j / t;
+    result.avg_gpu_power_w = result.gpu_energy_j / t;
+  }
+  result.accesses = meter_;
+  const int domains = node_.domain_count();
+  for (int d = 0; d < domains; ++d) {
+    result.domain_uncore_energy_j.push_back(node_.domain_uncore_energy_j(d));
+    result.domain_stretch_time_s.push_back(node_.domain_stretch_time_s(d));
+    result.domain_traffic_mb.push_back(node_.domain_traffic_mb(d));
+  }
+
+  telemetry::inc(m_steps_, ticks);
+  telemetry::inc(m_invocations_, result.invocations);
+  telemetry::inc(m_runs_);
+  telemetry::set(m_sim_time_, t);
+  return result;
 }
 
 void SimEngine::record_tick(double t, const WorkSlice& slice, const TickOutput& out) {
@@ -137,63 +162,6 @@ void SimEngine::record_tick(double t, const WorkSlice& slice, const TickOutput& 
     recorder_.record(core_channels_[c], t,
                      node_.cores().display_freq_ghz(static_cast<int>(c), common::Seconds(t)));
   }
-}
-
-void SimEngine::sample() {
-  const CpuSpec& cpu = node_.spec().cpu;
-  const AccessMeter before = meter_;
-  hook_->on_sample(common::Seconds(t_));
-  const auto msr_delta =
-      (meter_.msr_reads - before.msr_reads) + (meter_.msr_writes - before.msr_writes);
-  const auto pcm_delta = meter_.pcm_reads - before.pcm_reads;
-  const double cost = static_cast<double>(msr_delta) * cpu.msr_read_latency_s +
-                      static_cast<double>(pcm_delta) * cpu.pcm_read_latency_s;
-  const double equiv_reads = static_cast<double>(msr_delta) +
-                             cpu.pcm_equivalent_reads * static_cast<double>(pcm_delta);
-  monitor_power_w_ = cpu.monitor_base_power_w + cpu.monitor_per_read_power_w * equiv_reads;
-  monitor_busy_until_ = t_ + cost;
-  ++result_.invocations;
-  result_.total_invocation_s += cost;
-  // Next monitoring cycle starts `period` after this invocation returns
-  // (paper section 6.5: 0.1 s invocation + 0.2 s period = 0.3 s cadence).
-  next_sample_t_ = t_ + cost + hook_->period_s;
-  // Live progress for a scraping exporter, keyed on sim time only.
-  telemetry::set(m_sim_time_, t_);
-}
-
-SimResult SimEngine::finish() {
-  SimResult& result = result_;
-  const double t = t_;
-  result.completed = executor_->done();
-  result.duration_s = t;
-  result.ticks = ticks_;
-  result.pkg_energy_j = node_.total_pkg_energy_j();
-  result.dram_energy_j = node_.total_dram_energy_j();
-  result.gpu_energy_j = node_.gpu().energy_j();
-  if (t > 0.0) {
-    result.avg_pkg_power_w = result.pkg_energy_j / t;
-    result.avg_dram_power_w = result.dram_energy_j / t;
-    result.avg_gpu_power_w = result.gpu_energy_j / t;
-  }
-  result.accesses = meter_;
-  const int domains = node_.domain_count();
-  result.domain_uncore_energy_j.resize(static_cast<std::size_t>(domains));
-  result.domain_stretch_time_s.resize(static_cast<std::size_t>(domains));
-  result.domain_traffic_mb.resize(static_cast<std::size_t>(domains));
-  for (int d = 0; d < domains; ++d) {
-    result.domain_uncore_energy_j[static_cast<std::size_t>(d)] =
-        node_.domain_uncore_energy_j(d);
-    result.domain_stretch_time_s[static_cast<std::size_t>(d)] =
-        node_.domain_stretch_time_s(d);
-    result.domain_traffic_mb[static_cast<std::size_t>(d)] = node_.domain_traffic_mb(d);
-  }
-
-  telemetry::inc(m_steps_, ticks_);
-  telemetry::inc(m_invocations_, result.invocations);
-  telemetry::inc(m_runs_);
-  telemetry::set(m_sim_time_, t);
-  hook_ = nullptr;
-  return std::move(result_);
 }
 
 }  // namespace magus::sim

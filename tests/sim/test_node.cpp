@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "magus/common/error.hpp"
 #include "magus/sim/node.hpp"
 
 namespace ms = magus::sim;
@@ -100,4 +101,38 @@ TEST(NodeModel, PerSocketEnergySymmetricWithoutMonitor) {
   auto node = make_node();
   for (int i = 0; i < 200; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
   EXPECT_NEAR(node.pkg_energy_j(0), node.pkg_energy_j(1), 1e-9);
+}
+
+namespace {
+ms::SystemSpec domain_spec(int dies, double skew) {
+  ms::SystemSpec spec = ms::intel_a100();
+  spec.cpu.dies_per_socket = dies;
+  spec.numa_skew = skew;
+  return spec;
+}
+}  // namespace
+
+TEST(NodeModelConstructor, RejectsDiesPerSocketBelowOne) {
+  EXPECT_THROW(ms::NodeModel(domain_spec(0, 0.0), 1), mc::ConfigError);
+  EXPECT_THROW(ms::NodeModel(domain_spec(-1, 0.0), 1), mc::ConfigError);
+}
+
+TEST(NodeModelConstructor, RejectsNumaSkewOutsideUnitInterval) {
+  EXPECT_THROW(ms::NodeModel(domain_spec(2, -0.01), 1), mc::ConfigError);
+  EXPECT_THROW(ms::NodeModel(domain_spec(2, 1.0), 1), mc::ConfigError);
+  EXPECT_NO_THROW(ms::NodeModel(domain_spec(2, 0.0), 1));
+  EXPECT_NO_THROW(ms::NodeModel(domain_spec(2, 0.99), 1));
+}
+
+TEST(NodeModelConstructor, CapsDomainsAtKMaxDomains) {
+  const int sockets = ms::intel_a100().cpu.sockets;
+  ASSERT_EQ(ms::kMaxDomains % sockets, 0);
+  const int max_dies = ms::kMaxDomains / sockets;
+  EXPECT_THROW(ms::NodeModel(domain_spec(max_dies + 1, 0.0), 1), mc::ConfigError);
+
+  // Exactly kMaxDomains domains is accepted and ticks on the per-domain path.
+  ms::NodeModel node(domain_spec(max_dies, 0.0), 1);
+  EXPECT_EQ(node.domain_count(), ms::kMaxDomains);
+  for (int i = 0; i < 10; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
+  EXPECT_GT(node.domain_traffic_mb(ms::kMaxDomains - 1), 0.0);
 }

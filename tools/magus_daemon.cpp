@@ -47,6 +47,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "magus/common/error.hpp"
@@ -119,10 +120,16 @@ struct Telemetry {
       }
       exporter = std::make_unique<telemetry::HttpExporter>(
           registry, static_cast<std::uint16_t>(port));
-      // Flushed: a supervisor (or test) reads the bound port off this line.
-      std::cout << "[magus-daemon] serving /metrics and /healthz on port "
-                << exporter->port() << std::endl;
     }
+  }
+
+  /// Print the bound port, flushed: a supervisor (or test) reads it off the
+  /// first stdout line and may use any route at once, so call this after
+  /// every route is registered.
+  void announce() const {
+    if (!exporter) return;
+    std::cout << "[magus-daemon] serving /metrics and /healthz on port "
+              << exporter->port() << std::endl;
   }
 
   ~Telemetry() {
@@ -375,11 +382,15 @@ class FleetService {
           active_ = &runner;
         }
         const fleet::FleetResult result = runner.run();
+        // Serialize before taking the lock: /fleet/status and busy() wait
+        // on mutex_, and the dump covers every node.
+        std::string rollup = result.to_jsonl();
+        rollup.resize(rollup.find('\n') + 1);
         const common::LockGuard lock(mutex_);
         active_ = nullptr;
         state_ = "done";
         nodes_completed_ = result.nodes_total;
-        last_rollup_ = result.to_jsonl().substr(0, result.to_jsonl().find('\n') + 1);
+        last_rollup_ = std::move(rollup);
         telemetry::inc(m_jobs_completed_);
       } catch (const std::exception& e) {
         const common::LockGuard lock(mutex_);
@@ -442,6 +453,7 @@ int run_fleet(const std::map<std::string, std::string>& flags) {
 
   FleetService service(tel.registry, &tel.events);
   service.attach(*tel.exporter);
+  tel.announce();
   std::cout << "[magus-daemon] fleet service on port " << tel.exporter->port()
             << ": POST /fleet/jobs, GET /fleet/status, " << common::default_pool().size()
             << " worker(s); SIGINT/SIGTERM to exit\n";
@@ -468,6 +480,7 @@ int run_simulated(const std::map<std::string, std::string>& flags) {
   std::signal(SIGTERM, handle_signal);
 
   Telemetry tel(flags);
+  tel.announce();
 
   sim::SimEngine engine(sim::intel_a100(), wl::make_workload(app));
   engine.attach_telemetry(tel.registry);
@@ -521,6 +534,7 @@ int run_real(const std::map<std::string, std::string>& flags) {
       flags.count("sockets") ? parse_cpu_list(flags.at("sockets")) : std::vector<int>{0};
 
   Telemetry tel(flags);
+  tel.announce();
 
   hw::FileMemThroughputCounter counter(flags.at("throughput-file"));
   hw::LinuxMsrDevice msr(cpus);

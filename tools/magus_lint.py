@@ -35,9 +35,10 @@ Rules (each exits non-zero on violation, with file:line diagnostics):
 
   hot-path           Code between `magus:hot-path-begin` and
                      `magus:hot-path-end` marker comments is the simulator's
-                     tick loop (SimEngine::advance): no virtual functions, no
-                     heap allocation (new / make_unique / make_shared /
-                     malloc), no std::function, and no lock or mutex tokens
+                     tick loop (SimEngine::run, NodeModel::tick): no
+                     virtual functions, no heap allocation (new /
+                     make_unique / make_shared / malloc), no
+                     std::function, and no lock or mutex tokens
                      (the textual twin of the MAGUS_LOCK_FREE capability
                      annotations -- Clang checks direct acquisitions, this
                      rule also catches spelled-out lock types the analysis
