@@ -72,7 +72,7 @@ void BM_MagusSampleOnSim(benchmark::State& state) {
   double t = 0.3;
   for (auto _ : state) {
     // Advance the node a little so the counter moves, then take one sample.
-    engine.node().tick(magus::common::Seconds(t), 0.002, {50'000.0, 0.5, 0.2, 0.8}, 0.0);
+    engine.node().tick(0.002, {50'000.0, 0.5, 0.2, 0.8}, 0.0);
     magus.on_sample(magus::common::Seconds(t));
     t += 0.3;
   }
@@ -87,7 +87,7 @@ void BM_UpsSweepOnSim(benchmark::State& state) {
   ups.on_start(magus::common::Seconds(0.0));
   double t = 0.5;
   for (auto _ : state) {
-    engine.node().tick(magus::common::Seconds(t), 0.002, {50'000.0, 0.5, 0.2, 0.8}, 0.0);
+    engine.node().tick(0.002, {50'000.0, 0.5, 0.2, 0.8}, 0.0);
     ups.on_sample(magus::common::Seconds(t));  // 160 core-counter reads + DRAM energy per call
     t += 0.5;
   }
@@ -99,12 +99,30 @@ void BM_SimEngineTick(benchmark::State& state) {
   const sim::WorkSlice slice{80'000.0, 0.6, 0.2, 0.9};
   double t = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(node.tick(magus::common::Seconds(t), 0.002, slice, 0.0));
+    benchmark::DoNotOptimize(node.tick(0.002, slice, 0.0));
+    benchmark::DoNotOptimize(t);
     t += 0.002;
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimEngineTick);
+
+// The per-domain tick body: 4 dies per socket with a NUMA-hot die 0.
+void BM_NodeTickMultiDomain(benchmark::State& state) {
+  sim::SystemSpec spec = sim::intel_a100();
+  spec.cpu.dies_per_socket = 4;
+  spec.numa_skew = 0.2;
+  sim::NodeModel node(spec, 1);
+  const sim::WorkSlice slice{80'000.0, 0.6, 0.2, 0.9};
+  double t = 0.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(node.tick(0.002, slice, 0.0));
+    benchmark::DoNotOptimize(t);
+    t += 0.002;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NodeTickMultiDomain);
 
 void BM_FullUnetSimulation(benchmark::State& state) {
   for (auto _ : state) {

@@ -3,11 +3,13 @@
 // unlike the uncore -- paper Fig. 1a) plus the core power model and the
 // fixed-counter state (instructions / cycles) the UPS baseline reads. The
 // per-tick methods are defined inline; keep their expression order (the
-// goldens pin the bit patterns).
+// goldens pin the bit patterns). The governor's smoothing factor depends on
+// dt alone, so tick() caches it keyed on the last dt (DESIGN.md §12).
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "magus/common/quantity.hpp"
 #include "magus/sim/system_preset.hpp"
@@ -30,8 +32,11 @@ class CoreModel {
     util = std::clamp(util, 0.0, 1.0);
     // Stock DVFS: frequency follows load, saturating toward max under load.
     const double target = std::min(max_ghz_, min_ghz_ + (max_ghz_ - min_ghz_) * util * 1.4);
-    const double alpha = 1.0 - std::exp(-dt / kGovernorTau);
-    freq_ghz_ += (target - freq_ghz_) * alpha;
+    if (dt != alpha_dt_) {
+      alpha_dt_ = dt;
+      alpha_ = 1.0 - std::exp(-dt / kGovernorTau);
+    }
+    freq_ghz_ += (target - freq_ghz_) * alpha_;
 
     // Fixed counters advance only while cores are unhalted.
     const double active = std::max(util, 0.02);  // housekeeping threads
@@ -70,6 +75,9 @@ class CoreModel {
   double freq_ghz_;
   double cycles_ = 0.0;        ///< per-core cumulative unhalted cycles
   double instructions_ = 0.0;  ///< per-core cumulative retired instructions
+  /// Governor smoothing 1 - exp(-dt/tau) for dt == alpha_dt_ (NaN: unset).
+  double alpha_dt_ = std::numeric_limits<double>::quiet_NaN();
+  double alpha_ = 0.0;
 };
 
 }  // namespace magus::sim

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "magus/common/quantity.hpp"
 #include "magus/common/rng.hpp"
 #include "magus/sim/core_model.hpp"
 #include "magus/sim/firmware_governor.hpp"
@@ -51,8 +50,7 @@ class NodeModel {
 
   /// Advance the node by dt under `slice`; `monitor_extra_w` is the power of
   /// an actively executing monitoring runtime (lands on socket 0).
-  TickOutput tick(common::Seconds now, double dt, const WorkSlice& slice,
-                  double monitor_extra_w);
+  TickOutput tick(double dt, const WorkSlice& slice, double monitor_extra_w);
 
   [[nodiscard]] const SystemSpec& spec() const noexcept { return spec_; }
 

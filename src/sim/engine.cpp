@@ -82,7 +82,7 @@ SimResult SimEngine::run(const PolicyHook& policy) {
       }
       slice = exec.slice();
       const double extra_w = (t < monitor_busy_until) ? monitor_power_w : 0.0;
-      out = node_.tick(common::Seconds(t), dt, slice, extra_w);
+      out = node_.tick(dt, slice, extra_w);
       exec.advance(dt * out.progress_rate);
       ++ticks;
       if (t >= next_record_t) {

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "magus/common/error.hpp"
+#include "magus/common/quantity.hpp"
 
 namespace magus::sim {
 
@@ -79,10 +80,10 @@ double NodeModel::total_dram_energy_j() const noexcept {
 // stretch is the worst domain's. Socket `s` owns domains
 // s * dies_per_socket .. + dies_per_socket - 1 (socket-major). Keep every
 // expression in its current order: reassociating a sum or hoisting a
-// multiply changes bit patterns and breaks the goldens.
-TickOutput NodeModel::tick(common::Seconds now, double dt, const WorkSlice& slice,
-                           double monitor_extra_w) {
-  (void)now;
+// multiply changes bit patterns and breaks the goldens. Core power is read
+// once per tick: it is a pure function of the post-tick governor state and
+// cpu_util, so every socket gets the same double.
+TickOutput NodeModel::tick(double dt, const WorkSlice& slice, double monitor_extra_w) {
   const common::Seconds step(dt);
   const CpuSpec& cpu = spec_.cpu;
   const int sockets = cpu.sockets;
@@ -125,9 +126,9 @@ TickOutput NodeModel::tick(common::Seconds now, double dt, const WorkSlice& slic
     const double socket_mbps = mem.delivered.value() / static_cast<double>(sockets);
     const double bw_frac_per_socket = dram_bw_frac(socket_mbps, cpu.peak_mem_bw_mbps);
     const double domain_mb = delivered_noisy * dt / static_cast<double>(sockets);
+    const double core_w = cores_.power_w(slice.cpu_util);
     for (int s = 0; s < sockets; ++s) {
       const auto i = static_cast<std::size_t>(s);
-      const double core_w = cores_.power_w(slice.cpu_util);
       const double uncore_w = uncores_[i].power(mem.utilization).value();
       const double monitor_w = (s == 0) ? monitor_extra_w : 0.0;
       const double pkg_w = core_w + uncore_w + monitor_w;
@@ -208,9 +209,9 @@ TickOutput NodeModel::tick(common::Seconds now, double dt, const WorkSlice& slic
   // 5. Power + energy: socket uncore power is the sum of its dies.
   double pkg_total = 0.0;
   double dram_total = 0.0;
+  const double core_w = cores_.power_w(slice.cpu_util);
   for (int s = 0; s < sockets; ++s) {
     const auto i = static_cast<std::size_t>(s);
-    const double core_w = cores_.power_w(slice.cpu_util);
     double uncore_w = 0.0;
     double socket_delivered = 0.0;
     for (int k = 0; k < dies; ++k) {

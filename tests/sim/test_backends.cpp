@@ -9,7 +9,6 @@
 
 namespace ms = magus::sim;
 namespace mh = magus::hw;
-namespace mc = magus::common;
 
 namespace {
 struct Rig {
@@ -38,7 +37,7 @@ TEST(SimMsrDevice, WritingMaxRatioSteersUncore) {
   rig.msr.write(1, mh::msr::kUncoreRatioLimit, limit.encode());
   EXPECT_DOUBLE_EQ(rig.node.uncore(0).policy_limit().value(), 1.2);
   // Frequency follows after slewing.
-  for (int i = 0; i < 200; ++i) rig.node.tick(mc::Seconds(i * 0.002), 0.002, {}, 0.0);
+  for (int i = 0; i < 200; ++i) rig.node.tick(0.002, {}, 0.0);
   EXPECT_DOUBLE_EQ(rig.node.uncore(0).freq().value(), 1.2);
 }
 
@@ -51,7 +50,7 @@ TEST(SimMsrDevice, UnsupportedRegistersFaultLikeHardware) {
 
 TEST(SimMsrDevice, EnergyStatusUsesRaplEncoding) {
   Rig rig;
-  for (int i = 0; i < 500; ++i) rig.node.tick(mc::Seconds(i * 0.002), 0.002, {}, 0.0);
+  for (int i = 0; i < 500; ++i) rig.node.tick(0.002, {}, 0.0);
   const auto units =
       mh::RaplUnits::decode(rig.msr.read(0, mh::msr::kRaplPowerUnit));
   const auto raw =
@@ -67,7 +66,7 @@ TEST(SimMsrDevice, UncorePerfStatusReportsCurrentRatio) {
 
 TEST(SimCounters, EnergyCounterMatchesNode) {
   Rig rig;
-  for (int i = 0; i < 100; ++i) rig.node.tick(mc::Seconds(i * 0.002), 0.002, {}, 0.0);
+  for (int i = 0; i < 100; ++i) rig.node.tick(0.002, {}, 0.0);
   EXPECT_DOUBLE_EQ(rig.energy.pkg_energy_j(0), rig.node.pkg_energy_j(0));
   EXPECT_DOUBLE_EQ(rig.energy.dram_energy_j(1), rig.node.dram_energy_j(1));
   EXPECT_EQ(rig.energy.socket_count(), 2);
@@ -76,7 +75,7 @@ TEST(SimCounters, EnergyCounterMatchesNode) {
 TEST(SimCounters, GpuSensorSplitsBoards) {
   ms::NodeModel node(ms::intel_4a100(), 1);
   ms::SimGpuPowerSensor gpu(node);
-  for (int i = 0; i < 100; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, {}, 0.0);
+  for (int i = 0; i < 100; ++i) node.tick(0.002, {}, 0.0);
   EXPECT_EQ(gpu.gpu_count(), 4);
   EXPECT_NEAR(gpu.power_w(0) * 4.0, node.gpu().power_w(), 1e-9);
   EXPECT_THROW((void)gpu.power_w(4), magus::common::ConfigError);

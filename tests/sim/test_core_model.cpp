@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "magus/sim/core_model.hpp"
 #include "magus/sim/system_preset.hpp"
 
@@ -86,4 +89,28 @@ TEST(CoreModel, PowerScalesWithUtilAndFreq) {
   const double busy = m.power_w(1.0);
   EXPECT_GT(busy, idle);
   EXPECT_NEAR(idle, ms::intel_a100().cpu.core_idle_w, 1.0);
+}
+
+TEST(CoreModel, AlphaCacheFollowsDtChanges) {
+  // tick() caches the governor smoothing factor keyed on dt. Alternating dt
+  // (held for a few ticks, so the cache is hit as well as missed) and
+  // utilisation must reproduce the uncached formula bit for bit.
+  const ms::CpuSpec spec = ms::intel_a100().cpu;
+  auto m = make_model();
+  const double dts[] = {0.002, 0.001, 0.0005};
+  const double utils[] = {0.0, 0.35, 0.9, 1.2};
+  double freq = spec.core_min_ghz;
+  for (int i = 0; i < 60; ++i) {
+    const double dt = dts[(i / 3) % 3];
+    const double util = utils[(i / 2) % 4];
+    m.tick(dt, util, 1.6);
+    const double u = std::clamp(util, 0.0, 1.0);
+    const double target = std::min(
+        spec.core_max_ghz, spec.core_min_ghz + (spec.core_max_ghz - spec.core_min_ghz) * u * 1.4);
+    freq += (target - freq) * (1.0 - std::exp(-dt / 0.15));
+    EXPECT_EQ(m.freq_ghz(), freq) << "tick " << i;
+    const double ffrac = freq / spec.core_max_ghz;
+    EXPECT_EQ(m.power_w(util), spec.core_idle_w + spec.core_dyn_w * u * ffrac * ffrac)
+        << "tick " << i;
+  }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "magus/sim/gpu_model.hpp"
 #include "magus/sim/system_preset.hpp"
 
@@ -64,4 +67,29 @@ TEST(GpuModel, UtilClamped) {
   ms::GpuModel gpu(ms::intel_a100().gpu);
   for (int i = 0; i < 100; ++i) gpu.tick(0.002, 7.5);
   EXPECT_LE(gpu.power_w(), ms::intel_a100().gpu.peak_w + 1e-6);
+}
+
+TEST(GpuModel, BoostAndAlphaCachesFollowInputChanges) {
+  // tick() caches pow(util, 0.7) keyed on the clamped utilisation and the
+  // governor smoothing factor keyed on dt. Inputs that change on different
+  // cadences (so each cache is hit and missed) must reproduce the uncached
+  // formula bit for bit.
+  const ms::GpuSpec spec = ms::intel_a100().gpu;
+  ms::GpuModel gpu(spec);
+  const double dts[] = {0.002, 0.001, 0.0005};
+  const double utils[] = {0.0, 0.35, 0.9, 1.2};
+  double clock = spec.base_clock_ghz;
+  for (int i = 0; i < 60; ++i) {
+    const double dt = dts[(i / 3) % 3];
+    const double util = utils[(i / 2) % 4];
+    gpu.tick(dt, util);
+    const double u = std::clamp(util, 0.0, 1.0);
+    const double target =
+        spec.base_clock_ghz + (spec.max_clock_ghz - spec.base_clock_ghz) * std::pow(u, 0.7);
+    clock += (target - clock) * (1.0 - std::exp(-dt / 0.08));
+    EXPECT_EQ(gpu.clock_ghz(), clock) << "tick " << i;
+    const double frac = clock / spec.max_clock_ghz;
+    const double per_board = spec.idle_w + (spec.peak_w - spec.idle_w) * u * frac * frac;
+    EXPECT_EQ(gpu.power_w(), per_board * spec.count) << "tick " << i;
+  }
 }

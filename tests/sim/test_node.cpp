@@ -17,7 +17,7 @@ TEST(NodeModel, EnergiesAccumulateMonotonically) {
   auto node = make_node();
   double last_pkg = 0.0;
   for (int i = 0; i < 1000; ++i) {
-    node.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+    node.tick(0.002, quiet_slice(), 0.0);
     EXPECT_GE(node.total_pkg_energy_j(), last_pkg);
     last_pkg = node.total_pkg_energy_j();
   }
@@ -27,14 +27,14 @@ TEST(NodeModel, EnergiesAccumulateMonotonically) {
 
 TEST(NodeModel, TrafficCounterTracksDelivered) {
   auto node = make_node();
-  for (int i = 0; i < 500; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+  for (int i = 0; i < 500; ++i) node.tick(0.002, quiet_slice(), 0.0);
   // ~1 s at ~10.3 GB/s (incl. background traffic).
   EXPECT_NEAR(node.total_traffic_mb(), 10'300.0, 600.0);
 }
 
 TEST(NodeModel, UncoreAtMaxByDefault) {
   auto node = make_node();
-  for (int i = 0; i < 500; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
+  for (int i = 0; i < 500; ++i) node.tick(0.002, heavy_slice(), 0.0);
   // GPU-dominant power stays far from TDP -> stock firmware never throttles.
   EXPECT_DOUBLE_EQ(node.last().uncore_freq_ghz, 2.2);
 }
@@ -44,7 +44,7 @@ TEST(NodeModel, LowUncoreStretchesHeavyPhases) {
   for (int s = 0; s < node.socket_count(); ++s) {
     node.uncore(s).set_policy_limit(magus::common::Ghz(0.8));
   }
-  for (int i = 0; i < 500; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
+  for (int i = 0; i < 500; ++i) node.tick(0.002, heavy_slice(), 0.0);
   EXPECT_GT(node.last().stretch, 1.3);
   EXPECT_LT(node.last().progress_rate, 0.8);
   // Quiet phases are unaffected even at min uncore.
@@ -52,7 +52,7 @@ TEST(NodeModel, LowUncoreStretchesHeavyPhases) {
   for (int s = 0; s < node2.socket_count(); ++s) {
     node2.uncore(s).set_policy_limit(magus::common::Ghz(0.8));
   }
-  for (int i = 0; i < 500; ++i) node2.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+  for (int i = 0; i < 500; ++i) node2.tick(0.002, quiet_slice(), 0.0);
   EXPECT_DOUBLE_EQ(node2.last().stretch, 1.0);
 }
 
@@ -63,8 +63,8 @@ TEST(NodeModel, LowUncoreCutsPackagePower) {
     lo.uncore(s).set_policy_limit(magus::common::Ghz(0.8));
   }
   for (int i = 0; i < 500; ++i) {
-    lo.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
-    hi.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+    lo.tick(0.002, quiet_slice(), 0.0);
+    hi.tick(0.002, quiet_slice(), 0.0);
   }
   // Fig. 2 calibration: tens of watts between the two uncore extremes.
   EXPECT_GT(hi.last().pkg_power_w - lo.last().pkg_power_w, 40.0);
@@ -74,8 +74,8 @@ TEST(NodeModel, MonitorPowerLandsOnPackage) {
   auto with = make_node();
   auto without = make_node();
   for (int i = 0; i < 100; ++i) {
-    with.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 10.0);
-    without.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+    with.tick(0.002, quiet_slice(), 10.0);
+    without.tick(0.002, quiet_slice(), 0.0);
   }
   EXPECT_NEAR(with.last().pkg_power_w - without.last().pkg_power_w, 10.0, 0.5);
 }
@@ -84,8 +84,8 @@ TEST(NodeModel, DeterministicForSameSeed) {
   ms::NodeModel a(ms::intel_a100(), 7);
   ms::NodeModel b(ms::intel_a100(), 7);
   for (int i = 0; i < 200; ++i) {
-    a.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
-    b.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
+    a.tick(0.002, heavy_slice(), 0.0);
+    b.tick(0.002, heavy_slice(), 0.0);
   }
   EXPECT_DOUBLE_EQ(a.total_traffic_mb(), b.total_traffic_mb());
   EXPECT_DOUBLE_EQ(a.total_pkg_energy_j(), b.total_pkg_energy_j());
@@ -99,7 +99,7 @@ TEST(NodeModel, CapacityIsSumOfSockets) {
 
 TEST(NodeModel, PerSocketEnergySymmetricWithoutMonitor) {
   auto node = make_node();
-  for (int i = 0; i < 200; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, quiet_slice(), 0.0);
+  for (int i = 0; i < 200; ++i) node.tick(0.002, quiet_slice(), 0.0);
   EXPECT_NEAR(node.pkg_energy_j(0), node.pkg_energy_j(1), 1e-9);
 }
 
@@ -133,6 +133,6 @@ TEST(NodeModelConstructor, CapsDomainsAtKMaxDomains) {
   // Exactly kMaxDomains domains is accepted and ticks on the per-domain path.
   ms::NodeModel node(domain_spec(max_dies, 0.0), 1);
   EXPECT_EQ(node.domain_count(), ms::kMaxDomains);
-  for (int i = 0; i < 10; ++i) node.tick(mc::Seconds(i * 0.002), 0.002, heavy_slice(), 0.0);
+  for (int i = 0; i < 10; ++i) node.tick(0.002, heavy_slice(), 0.0);
   EXPECT_GT(node.domain_traffic_mb(ms::kMaxDomains - 1), 0.0);
 }
