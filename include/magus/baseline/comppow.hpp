@@ -43,10 +43,10 @@ struct CompPowConfig {
 class CompPowController final : public core::IPolicy {
  public:
   /// `cap` (optional) is copied; null or inactive means uncapped (inert).
-  /// `domains` (optional): more than one domain splits the uncore budget
-  /// across domains in proportion to their traffic shares (every domain
-  /// keeps at least an even split's minimum-frequency cost). Null or one
-  /// domain budgets the node's domains as one pool.
+  /// `domains` (optional) is bound through hw::DomainBinding: the uncore
+  /// budget splits across domains in proportion to their traffic shares
+  /// (every domain keeps half an even split). Node-wide, the one domain
+  /// spans every socket and its budget is spread over them.
   CompPowController(hw::IMemThroughputCounter& mem_counter,
                     hw::IEnergyCounter& energy_counter, hw::IMsrDevice& msr,
                     const hw::UncoreFreqLadder& ladder, CompPowConfig cfg = {},
@@ -59,45 +59,40 @@ class CompPowController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
+  /// Domain 0's target (the node's in node-wide mode).
+  [[nodiscard]] common::Ghz current_target() const noexcept { return domain_target_[0]; }
   [[nodiscard]] double last_utilization() const noexcept { return last_util_; }
   [[nodiscard]] double last_uncore_budget_w() const noexcept {
     return last_uncore_budget_w_;
   }
 
-  /// Highest ladder frequency with model power <= budget_w (per domain);
+  /// Highest ladder frequency with model power <= budget_w (per socket);
   /// ladder min when even that does not fit.
   [[nodiscard]] double fit_ghz(double budget_w) const;
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_target_.size()) : 1;
-  }
+  [[nodiscard]] int domain_count() const noexcept { return domains_.count(); }
   [[nodiscard]] common::Ghz domain_target(int domain) const noexcept {
-    return domains_ ? domain_target_[static_cast<std::size_t>(domain)] : target_;
+    return domain_target_[static_cast<std::size_t>(domain)];
   }
 
  private:
-  void sample_node(common::Seconds now);
-  void sample_domains(common::Seconds now);
+  void prime(common::Seconds now);
 
-  hw::IMemThroughputCounter& mem_counter_;
-  hw::IEnergyCounter& energy_counter_;
-  hw::UncoreFreqController uncore_;
+  hw::DomainBinding domains_;
   CompPowConfig cfg_;
+  /// Domains per socket: the quadratic model is per *socket* and a socket's
+  /// dies share its coefficients, so a domain's budget scales by this before
+  /// the fit (below 1 when one domain spans every socket).
+  double dies_;
   core::PowerCapSchedule cap_;
 
   bool primed_ = false;
   double prev_t_ = 0.0;
-  double prev_mb_ = 0.0;
-  common::Ghz target_;
   double last_util_ = 0.0;
   double last_uncore_budget_w_ = 0.0;
-
-  // Per-domain mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
   std::vector<double> domain_prev_mb_;
   std::vector<common::Ghz> domain_target_;
+  std::vector<double> delivered_;  ///< this sample's per-domain MB/s
 };
 
 /// Self-registration anchor for the "comppow" PolicyFactory entry (defined

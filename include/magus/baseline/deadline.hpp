@@ -40,9 +40,9 @@ struct DeadlineConfig {
 
 class DeadlineController final : public core::IPolicy {
  public:
-  /// `domains` (optional): more than one domain switches to per-domain mode
-  /// -- demand predicted and frequency selected per domain against its share
-  /// of the capacity model. Null or one domain keeps the node-level loop.
+  /// `domains` (optional) is bound through hw::DomainBinding: demand is
+  /// predicted and frequency selected per domain against its share of the
+  /// capacity model. Node-wide, the one domain is the whole node.
   DeadlineController(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
                      const hw::UncoreFreqLadder& ladder, DeadlineConfig cfg = {},
                      hw::IUncoreDomainSet* domains = nullptr);
@@ -53,42 +53,32 @@ class DeadlineController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
-  [[nodiscard]] double predicted_demand_mbps() const noexcept { return demand_mbps_; }
+  /// Domain 0's target and demand (the node's in node-wide mode).
+  [[nodiscard]] common::Ghz current_target() const noexcept { return domain_target_[0]; }
+  [[nodiscard]] double predicted_demand_mbps() const noexcept { return demand_mbps_[0]; }
   [[nodiscard]] double learned_capacity_mbps_per_ghz() const noexcept {
     return capacity_coef_;
   }
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_target_.size()) : 1;
-  }
+  [[nodiscard]] int domain_count() const noexcept { return domains_.count(); }
   [[nodiscard]] common::Ghz domain_target(int domain) const noexcept {
-    return domains_ ? domain_target_[static_cast<std::size_t>(domain)] : target_;
+    return domain_target_[static_cast<std::size_t>(domain)];
   }
 
  private:
   /// Lowest ladder frequency whose capacity (coef * f) covers `needed_mbps`;
   /// ladder max when nothing does.
   [[nodiscard]] double select_ghz(double needed_mbps, double coef) const;
-  void sample_node(common::Seconds now);
-  void sample_domains(common::Seconds now);
+  void prime(common::Seconds now);
 
-  hw::IMemThroughputCounter& mem_counter_;
-  hw::UncoreFreqController uncore_;
+  hw::DomainBinding domains_;
   DeadlineConfig cfg_;
 
   bool primed_ = false;
   double prev_t_ = 0.0;
-  double prev_mb_ = 0.0;
-  double demand_mbps_ = 0.0;     ///< EWMA demand predictor
-  double capacity_coef_ = 0.0;   ///< learned MB/s per GHz
-  common::Ghz target_;
-
-  // Per-domain mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
+  double capacity_coef_ = 0.0;  ///< learned MB/s per GHz, node-calibrated
   std::vector<double> domain_prev_mb_;
-  std::vector<double> domain_demand_mbps_;
+  std::vector<double> demand_mbps_;  ///< per-domain EWMA demand predictor
   std::vector<common::Ghz> domain_target_;
 };
 

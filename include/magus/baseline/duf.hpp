@@ -33,11 +33,10 @@ struct DufConfig {
 
 class DufController final : public core::IPolicy {
  public:
-  /// `domains` (optional): a set exposing more than one domain switches DUF
-  /// to per-domain mode -- utilisation computed per domain against its
-  /// per-domain capacity share (capacity_mbps_per_ghz / domains), each
-  /// domain walking the ladder independently. Null or one domain keeps the
-  /// node-level loop bit-identical to the seed.
+  /// `domains` (optional) is bound through hw::DomainBinding: each domain's
+  /// utilisation is computed against its share of the calibrated capacity
+  /// (capacity_mbps_per_ghz / domains) and walks the ladder independently;
+  /// node-wide, the one domain is the whole node at full capacity.
   DufController(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
                 const hw::UncoreFreqLadder& ladder, DufConfig cfg = {},
                 hw::IUncoreDomainSet* domains = nullptr);
@@ -48,31 +47,26 @@ class DufController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
+  /// Domain 0's target (the node's in node-wide mode).
+  [[nodiscard]] common::Ghz current_target() const noexcept { return domain_target_[0]; }
+  /// Mean utilisation over domains.
   [[nodiscard]] double last_utilization() const noexcept { return last_util_; }
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_target_.size()) : 1;
-  }
+  [[nodiscard]] int domain_count() const noexcept { return domains_.count(); }
   [[nodiscard]] common::Ghz domain_target(int domain) const noexcept {
-    return domains_ ? domain_target_[static_cast<std::size_t>(domain)] : target_;
+    return domain_target_[static_cast<std::size_t>(domain)];
   }
 
  private:
-  void sample_domains(common::Seconds now);
+  void prime(common::Seconds now);
 
-  hw::IMemThroughputCounter& mem_counter_;
-  hw::UncoreFreqController uncore_;
+  hw::DomainBinding domains_;
   DufConfig cfg_;
+  /// Each domain serves only its share of the calibrated node capacity.
+  double share_mbps_per_ghz_;
   bool primed_ = false;
-  double prev_mb_ = 0.0;
   double prev_t_ = 0.0;
-  common::Ghz target_;
   double last_util_ = 0.0;
-
-  // Per-domain mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
   std::vector<double> domain_prev_mb_;
   std::vector<common::Ghz> domain_target_;
 };

@@ -41,10 +41,10 @@ struct EcoShiftConfig {
 class EcoShiftController final : public core::IPolicy {
  public:
   /// `cap` (optional) is copied; null or inactive means uncapped (inert).
-  /// `domains` (optional): more than one domain switches to per-domain mode
-  /// -- over the cap the *least*-utilised domain steps down first (cheapest
-  /// performance to sell), under it the *most*-utilised domain recovers
-  /// first. Null or one domain keeps the node-level loop.
+  /// `domains` (optional) is bound through hw::DomainBinding: over the cap
+  /// the *least*-utilised domain steps down first (cheapest performance to
+  /// sell), under it the *most*-utilised domain recovers first. Node-wide,
+  /// the one domain is the whole node.
   EcoShiftController(hw::IMemThroughputCounter& mem_counter,
                      hw::IEnergyCounter& energy_counter, hw::IMsrDevice& msr,
                      const hw::UncoreFreqLadder& ladder, EcoShiftConfig cfg = {},
@@ -57,41 +57,36 @@ class EcoShiftController final : public core::IPolicy {
   void on_start(common::Seconds now) override;
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] common::Ghz current_target() const noexcept { return target_; }
+  /// Domain 0's target (the node's in node-wide mode).
+  [[nodiscard]] common::Ghz current_target() const noexcept { return domain_target_[0]; }
   [[nodiscard]] double last_power_w() const noexcept { return last_power_w_; }
+  /// Mean utilisation over domains.
   [[nodiscard]] double last_utilization() const noexcept { return last_util_; }
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_target_.size()) : 1;
-  }
+  [[nodiscard]] int domain_count() const noexcept { return domains_.count(); }
   [[nodiscard]] common::Ghz domain_target(int domain) const noexcept {
-    return domains_ ? domain_target_[static_cast<std::size_t>(domain)] : target_;
+    return domain_target_[static_cast<std::size_t>(domain)];
   }
 
  private:
   [[nodiscard]] double measure_power_w(common::Seconds now);
-  void sample_node(common::Seconds now);
-  void sample_domains(common::Seconds now);
+  void prime(common::Seconds now);
 
-  hw::IMemThroughputCounter& mem_counter_;
   hw::IEnergyCounter& energy_counter_;
-  hw::UncoreFreqController uncore_;
+  hw::DomainBinding domains_;
   EcoShiftConfig cfg_;
+  /// Each domain's share of the calibrated node capacity.
+  double share_mbps_per_ghz_;
   core::PowerCapSchedule cap_;
 
   bool primed_ = false;
   double prev_t_ = 0.0;
   double prev_energy_j_ = 0.0;
-  double prev_mb_ = 0.0;
-  common::Ghz target_;
   double last_power_w_ = 0.0;
   double last_util_ = 0.0;
-
-  // Per-domain mode (domains_ non-null).
-  hw::IUncoreDomainSet* domains_ = nullptr;
   std::vector<double> domain_prev_mb_;
   std::vector<common::Ghz> domain_target_;
+  std::vector<double> util_;  ///< this sample's per-domain utilisation
 };
 
 /// Self-registration anchor for the "ecoshift" PolicyFactory entry (defined

@@ -4,6 +4,8 @@
 // monitoring period, and a 10-cycle (2.0 s) warm-up during which throughput
 // is collected but no tuning occurs.
 
+#include <string>
+
 #include "magus/common/error.hpp"
 #include "magus/common/quantity.hpp"
 
@@ -71,8 +73,12 @@ struct MagusConfig {
   /// Monitoring cycles before MDFS engages (10 cycles x 0.2 s = 2.0 s).
   int warmup_cycles = 10;
 
-  /// Monitoring period between invocations.
+  /// Monitoring period between invocations, in (0, kMaxPeriodS] s.
   common::Seconds period{0.2};
+
+  /// Longest accepted period. The daemon sleeps one period per cycle
+  /// through a 32-bit microsecond count, which overflows above ~4295 s.
+  static constexpr double kMaxPeriodS = 3600.0;
 
   /// When false, the runtime monitors and logs decisions but never writes
   /// MSR 0x620 -- the paper's Table 2 overhead-measurement protocol
@@ -103,8 +109,9 @@ struct MagusConfig {
     if (warmup_cycles < 0) {
       throw common::ConfigError("MagusConfig: warmup_cycles must be >= 0");
     }
-    if (period <= common::Seconds(0.0)) {
-      throw common::ConfigError("MagusConfig: period must be positive");
+    if (!(period > common::Seconds(0.0) && period <= common::Seconds(kMaxPeriodS))) {
+      throw common::ConfigError("MagusConfig: period must be in (0, 3600] s, got " +
+                                std::to_string(period.value()));
     }
     resilience.validate();
   }

@@ -58,11 +58,12 @@ struct PolicyContext {
   hw::IMsrDevice* msr = nullptr;
   const hw::UncoreFreqLadder* ladder = nullptr;
 
-  /// Per-domain uncore control. The experiment/fleet layers wire this only
-  /// for multi-domain nodes (dies_per_socket > 1 or NUMA-skewed), so
-  /// single-domain runs keep the exact legacy MSR-0x620 access sequence.
-  /// Policies that find more than one domain here sample and decide per
-  /// domain; null (or one domain) keeps the node-level loop.
+  /// The uncore domains runtime policies control, bound through
+  /// hw::DomainBinding: a set with more than one domain is driven domain by
+  /// domain; null (or a one-domain set) makes the whole node one domain over
+  /// `msr` (MSR 0x620 on every socket, so fault decorators on `msr` apply)
+  /// and `mem_counter`'s total_mb(). The experiment/fleet layers wire a set
+  /// only for multi-domain nodes (dies_per_socket > 1 or NUMA-skewed).
   hw::IUncoreDomainSet* domains = nullptr;
 
   const MagusConfig* magus = nullptr;            ///< "magus" maker (null = defaults)

@@ -1,14 +1,15 @@
 #pragma once
 // MagusRuntime: the deployable MAGUS policy.
 //
-// Binds the MDFS controller (Algorithm 3) to hardware: one PCM-style
-// memory-throughput read per monitoring cycle in, MSR 0x620 max-ratio
-// writes out. This is the entire per-cycle hardware footprint -- the reason
-// MAGUS's overheads undercut per-core-counter methods (paper Table 2).
+// Binds the MDFS controller (Algorithm 3) to hardware, once per uncore
+// domain: one PCM-style memory-throughput read per domain per monitoring
+// cycle in, one max-limit write per retarget out (MSR 0x620 on every socket
+// when the whole node is the one domain). This is the entire per-cycle
+// hardware footprint -- the reason MAGUS's overheads undercut
+// per-core-counter methods (paper Table 2).
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "magus/core/policy.hpp"
 #include "magus/hw/counters.hpp"
 #include "magus/hw/uncore_domain.hpp"
-#include "magus/hw/uncore_freq.hpp"
 
 namespace magus::telemetry {
 class Counter;
@@ -30,11 +30,12 @@ namespace magus::core {
 
 class MagusRuntime final : public IPolicy {
  public:
-  /// `domains` (optional) enables per-domain control: when it exposes more
-  /// than one uncore domain, the runtime runs one MDFS controller per domain
-  /// fed by per-domain throughput (IMemThroughputCounter::domain_mb) and
-  /// writes each domain's limit through the set. Null or a one-domain set
-  /// keeps the legacy node-level loop bit-identical to the seed.
+  /// `domains` (optional) picks what the runtime controls, through
+  /// hw::DomainBinding: a set with more than one uncore domain gets one MDFS
+  /// controller per domain, fed by that domain's throughput
+  /// (IMemThroughputCounter::domain_mb) and written through the set; null or
+  /// a one-domain set makes the whole node one domain, read through
+  /// total_mb() and written through MSR 0x620 on every socket.
   MagusRuntime(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
                const hw::UncoreFreqLadder& ladder, MagusConfig cfg = {},
                hw::IUncoreDomainSet* domains = nullptr);
@@ -46,35 +47,27 @@ class MagusRuntime final : public IPolicy {
   /// throughput counter.
   void on_start(common::Seconds now) override;
 
-  /// One monitoring cycle. The node-level sample→decide core runs inside a
-  /// lock-free HotPathSection (compiler-checked under -Wthread-safety:
-  /// acquiring any AnnotatedMutex there is a compile error); event emission,
-  /// retrying MSR writes, and backoff sleeps happen outside the section.
-  /// Per-domain mode (sample_domains) interleaves event emission with its
-  /// domain sweep and is not yet section-wrapped — moving its emissions to
-  /// an SPSC ring is the ROADMAP bounded-latency follow-up.
+  /// One monitoring cycle, one body for any domain count. The sample→decide
+  /// core -- every domain's read, validation and MDFS decision -- runs inside
+  /// a lock-free HotPathSection (compiler-checked under -Wthread-safety:
+  /// acquiring any AnnotatedMutex there is a compile error). Event emission,
+  /// retrying writes, backoff sleeps and telemetry run after the section,
+  /// domain by domain in index order.
   void on_sample(common::Seconds now) override;
 
-  [[nodiscard]] const MdfsController& controller() const noexcept { return *mdfs_; }
+  /// Domain 0's controller: the whole node's in node-wide mode.
+  [[nodiscard]] const MdfsController& controller() const noexcept { return loops_[0].mdfs; }
   [[nodiscard]] const MagusConfig& config() const noexcept { return cfg_; }
 
-  /// Last computed throughput, for diagnostics. In per-domain mode this is
-  /// the sum over domains.
+  /// Sum over domains of the throughput each controller was last fed, for
+  /// diagnostics (the node throughput in node-wide mode).
   [[nodiscard]] common::Mbps last_throughput() const noexcept { return last_throughput_; }
 
-  /// Domains under independent control (1 in node-level mode).
-  [[nodiscard]] int domain_count() const noexcept {
-    return domains_ ? static_cast<int>(domain_mdfs_.size()) : 1;
-  }
-  /// Per-domain controller (valid indices: [0, domain_count()); in
-  /// node-level mode domain 0 aliases controller()).
+  /// Domains under independent control (1 in node-wide mode).
+  [[nodiscard]] int domain_count() const noexcept { return static_cast<int>(loops_.size()); }
+  /// Per-domain controller, valid indices [0, domain_count()).
   [[nodiscard]] const MdfsController& domain_controller(int domain) const {
-    return domains_ ? *domain_mdfs_[static_cast<std::size_t>(domain)] : *mdfs_;
-  }
-  /// Last per-domain throughput (node total in node-level mode).
-  [[nodiscard]] common::Mbps domain_throughput(int domain) const noexcept {
-    return domains_ ? domain_throughput_[static_cast<std::size_t>(domain)]
-                    : last_throughput_;
+    return loops_[static_cast<std::size_t>(domain)].mdfs;
   }
 
   /// True once repeated MSR-write failures exhausted the retry budget
@@ -84,7 +77,8 @@ class MagusRuntime final : public IPolicy {
   [[nodiscard]] bool degraded() const noexcept override { return degraded_; }
 
   /// Samples rejected by validation (NaN / negative / counter moved
-  /// backwards / read threw). Each held the previous good throughput.
+  /// backwards / read threw), counted per domain. Each held that domain's
+  /// previous good throughput.
   [[nodiscard]] std::uint64_t bad_samples() const noexcept { return bad_samples_; }
 
   /// Individual MSR write bursts that failed (before retry accounting).
@@ -99,8 +93,9 @@ class MagusRuntime final : public IPolicy {
     backoff_sleeper_ = std::move(sleeper);
   }
 
-  /// Register the runtime/MDFS series on `reg` (magus_runtime_* and
-  /// magus_mdfs_*) and optionally emit discrete events (uncore_retarget,
+  /// Register the runtime/MDFS series on `reg` (magus_runtime_*,
+  /// magus_mdfs_*, magus_uncore_domain<k>_* and magus_hw_msr_writes_total)
+  /// and optionally emit discrete events (uncore_retarget,
   /// high_freq_enter/exit) into `events`. Call before on_start; both must
   /// outlive the runtime. Without this call the runtime stays at its no-op
   /// NullRegistry default: one branch per sample, nothing recorded.
@@ -108,34 +103,38 @@ class MagusRuntime final : public IPolicy {
                         telemetry::EventLog* events = nullptr);
 
  private:
-  void note_sample(common::Seconds now, const std::optional<common::Ghz>& target);
-  /// Bounded-retry MSR write; exhaustion feeds the degradation counter.
-  void write_uncore(common::Ghz ghz, common::Seconds now);
-  /// Bounded-retry per-domain limit write (per-domain mode's write_uncore).
-  void write_domain(int domain, common::Ghz ghz, common::Seconds now);
-  /// A sample failed validation: keep cadence on the last good throughput.
-  void hold_last_good(common::Seconds now);
+  /// One domain's control loop. A domain whose read fails validation holds
+  /// its own last good throughput, and its baseline (MB and time) stays put
+  /// so the next good reading averages across the gap; siblings proceed.
+  struct DomainLoop {
+    DomainLoop(const MagusConfig& cfg, const hw::UncoreFreqLadder& ladder)
+        : mdfs(cfg, common::Ghz(ladder.min_ghz()), common::Ghz(ladder.max_ghz())) {}
+
+    MdfsController mdfs;
+    bool primed = false;
+    double prev_mb = 0.0;
+    double prev_t = 0.0;
+    common::Mbps throughput{0.0};
+    bool last_hf = false;
+    // This cycle's outcome, recorded inside the hot section.
+    bool rejected = false;  ///< the read failed validation
+    bool decided = false;   ///< MDFS was fed this cycle
+    std::optional<common::Ghz> target;
+  };
+
+  /// Read, validate and decide one domain (an unprimed one only primes).
+  void sample_domain(std::size_t d, common::Seconds now);
+  /// Telemetry and events for one domain's decision. Callers skip it when
+  /// telemetry is detached: one branch per domain per sample.
+  void note_domain(std::size_t d, common::Seconds now);
+  /// Bounded-retry limit write; exhaustion feeds the degradation counter.
+  void write_domain(std::size_t d, common::Ghz ghz, common::Seconds now);
   void enter_degraded(common::Seconds now);
-  void start_domains(common::Seconds now);
-  void sample_domains(common::Seconds now);
 
-  hw::IMemThroughputCounter& mem_counter_;
-  hw::IMsrDevice& msr_;
-  hw::UncoreFreqController uncore_;
+  hw::DomainBinding binding_;
   MagusConfig cfg_;
-  std::unique_ptr<MdfsController> mdfs_;
-  bool primed_ = false;
-  double prev_mb_ = 0.0;
-  double prev_t_ = 0.0;
+  std::vector<DomainLoop> loops_;
   common::Mbps last_throughput_{0.0};
-
-  // Per-domain mode (domains_ non-null): one controller and one cumulative
-  // counter baseline per domain. A domain whose read fails validation holds
-  // its own last good throughput; siblings proceed normally.
-  hw::IUncoreDomainSet* domains_ = nullptr;
-  std::vector<std::unique_ptr<MdfsController>> domain_mdfs_;
-  std::vector<double> domain_prev_mb_;
-  std::vector<common::Mbps> domain_throughput_;
 
   // Degradation ladder state (DESIGN.md §11).
   bool degraded_ = false;
@@ -144,7 +143,8 @@ class MagusRuntime final : public IPolicy {
   std::uint64_t write_failures_ = 0;
   std::function<void(common::Seconds)> backoff_sleeper_;
 
-  // Telemetry handles; all nullptr until attach_telemetry.
+  // Telemetry handles; all nullptr until attach_telemetry. The node-level
+  // MDFS gauges mirror domain 0; magus_uncore_domain<k>_* carry every domain.
   telemetry::EventLog* events_ = nullptr;
   telemetry::Counter* m_samples_ = nullptr;
   telemetry::Counter* m_tuning_events_ = nullptr;
@@ -161,10 +161,8 @@ class MagusRuntime final : public IPolicy {
   telemetry::Counter* m_msr_failures_ = nullptr;
   telemetry::Counter* m_msr_retries_ = nullptr;
   telemetry::Gauge* m_degraded_ = nullptr;
-  // Per-domain series (magus_uncore_domain<k>_*), sized at attach time.
   std::vector<telemetry::Gauge*> m_domain_target_;
   std::vector<telemetry::Gauge*> m_domain_throughput_;
-  bool last_hf_ = false;
 };
 
 /// Self-registration anchor for the "magus" PolicyFactory entry (defined in

@@ -1,8 +1,11 @@
 #pragma once
 // intel_uncore_frequency sysfs backend for uncore domains.
 //
-// Kernels with the intel_uncore_frequency driver (TPMI-backed on newer SoCs)
-// expose one directory per (package, die) pair under the driver root:
+// Kernels with the intel_uncore_frequency driver expose one directory per
+// (package, die) pair under the driver root. Discovery accepts only this
+// `package_XX_die_YY` layout, the one the tests pin; a tree without such
+// directories fails with CapabilityError (no test pins the layout a
+// TPMI-backed kernel exposes):
 //
 //   package_00_die_00/
 //     initial_max_freq_khz   initial_min_freq_khz   <- silicon limits (RO)

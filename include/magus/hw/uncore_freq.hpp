@@ -8,7 +8,6 @@
 // intact (paper section 4).
 
 #include <algorithm>
-#include <vector>
 
 #include "magus/common/units.hpp"
 #include "magus/hw/msr.hpp"
@@ -45,9 +44,6 @@ class UncoreFreqLadder {
   /// One ratio step down/up from `ghz`, saturating at the ladder bounds.
   [[nodiscard]] double step_down(double ghz) const noexcept;
   [[nodiscard]] double step_up(double ghz) const noexcept;
-
-  /// All ladder frequencies, ascending, in GHz.
-  [[nodiscard]] std::vector<double> frequencies() const;
 
   bool operator==(const UncoreFreqLadder&) const = default;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 
 #include "magus/core/policy_factory.hpp"
 
@@ -11,64 +12,68 @@ namespace magus::baseline {
 UpsController::UpsController(hw::IEnergyCounter& energy, hw::ICoreCounters& cores,
                              hw::IMsrDevice& msr, const hw::UncoreFreqLadder& ladder,
                              UpsConfig cfg, hw::IUncoreDomainSet* domains)
-    : energy_(energy),
-      cores_(cores),
-      uncore_(msr, ladder),
-      cfg_(cfg),
-      target_(ladder.max_ghz()) {
-  if (domains != nullptr && domains->domain_count() > 1) {
-    domains_ = domains;
-    const auto sockets = static_cast<std::size_t>(energy.socket_count());
-    dies_per_socket_ = domains->domain_count() / energy.socket_count();
-    socket_target_.assign(sockets, common::Ghz(ladder.max_ghz()));
-    socket_phase_ref_w_.assign(sockets, -1.0);
-    socket_best_ipc_.assign(sockets, 0.0);
-  }
+    : energy_(energy), cores_(cores), domains_(msr, ladder, nullptr, domains), cfg_(cfg) {
+  // One group per socket when every socket has its own domains; one group
+  // spanning every socket when the whole node is one domain.
+  const int sockets = energy.socket_count();
+  const int groups = domains_.count() < sockets ? 1 : sockets;
+  sockets_per_group_ = sockets / groups;
+  domains_per_group_ = domains_.count() / groups;
+  groups_.assign(static_cast<std::size_t>(groups), Group{common::Ghz(ladder.max_ghz())});
+  prev_.group_dram_j.assign(groups_.size(), 0.0);
+  cur_.group_dram_j.assign(groups_.size(), 0.0);
 }
 
-UpsController::Snapshot UpsController::sweep() {
-  Snapshot s;
-  if (domains_) s.dram_j_by_socket.reserve(socket_target_.size());
-  for (int sock = 0; sock < energy_.socket_count(); ++sock) {
-    const double j = energy_.dram_energy_j(sock);
-    s.dram_j += j;
-    if (domains_) s.dram_j_by_socket.push_back(j);
+common::Ghz UpsController::current_target() const noexcept {
+  common::Ghz lo = groups_[0].target;
+  for (const Group& g : groups_) {
+    if (g.target.value() < lo.value()) lo = g.target;
+  }
+  return lo;
+}
+
+void UpsController::sweep(Snapshot& s) {
+  s.dram_j = 0.0;
+  int sock = 0;
+  for (double& group_j : s.group_dram_j) {
+    group_j = 0.0;
+    for (int k = 0; k < sockets_per_group_; ++k, ++sock) {
+      const double j = energy_.dram_energy_j(sock);
+      s.dram_j += j;
+      group_j += j;
+    }
   }
   // The expensive part: two MSR reads for every core in the node.
+  s.instructions = 0;
+  s.cycles = 0;
   for (int c = 0; c < cores_.core_count(); ++c) {
     s.instructions += cores_.instructions_retired(c);
     s.cycles += cores_.cycles_unhalted(c);
   }
-  return s;
 }
 
-void UpsController::write_socket(int socket, common::Ghz ghz) {
-  for (int die = 0; die < dies_per_socket_; ++die) {
-    domains_->write_max_ghz(socket * dies_per_socket_ + die, ghz);
-  }
+void UpsController::write_group(std::size_t g, common::Ghz ghz) {
+  const int first = static_cast<int>(g) * domains_per_group_;
+  for (int d = first; d < first + domains_per_group_; ++d) domains_.write_max_ghz(d, ghz);
 }
 
 void UpsController::on_start(common::Seconds now) {
   if (cfg_.scaling_enabled) {
-    if (domains_) {
-      for (std::size_t s = 0; s < socket_target_.size(); ++s) {
-        write_socket(static_cast<int>(s), common::Ghz(uncore_.ladder().max_ghz()));
-        socket_target_[s] = common::Ghz(uncore_.ladder().max_ghz());
-      }
-    } else {
-      uncore_.set_max_ghz_all(uncore_.ladder().max_ghz());
+    const common::Ghz max(domains_.ladder().max_ghz());
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      write_group(g, max);
+      groups_[g].target = max;
     }
-    target_ = common::Ghz(uncore_.ladder().max_ghz());
   }
-  prev_ = sweep();
+  sweep(prev_);
   prev_t_ = now.value();
   primed_ = true;
 }
 
 void UpsController::on_sample(common::Seconds now) {
-  const Snapshot cur = sweep();
+  sweep(cur_);
   if (!primed_) {
-    prev_ = cur;
+    std::swap(prev_, cur_);
     prev_t_ = now.value();
     primed_ = true;
     return;
@@ -76,98 +81,43 @@ void UpsController::on_sample(common::Seconds now) {
   const double dt = now.value() - prev_t_;
   if (dt <= 0.0) return;
 
-  last_dram_ = common::Watts((cur.dram_j - prev_.dram_j) / dt);
-  const auto dcycles = static_cast<double>(cur.cycles - prev_.cycles);
-  const auto dinst = static_cast<double>(cur.instructions - prev_.instructions);
+  last_dram_ = common::Watts((cur_.dram_j - prev_.dram_j) / dt);
+  const auto dcycles = static_cast<double>(cur_.cycles - prev_.cycles);
+  const auto dinst = static_cast<double>(cur_.instructions - prev_.instructions);
   last_ipc_ = dcycles > 0.0 ? dinst / dcycles : 0.0;
-  if (domains_) {
-    sample_domains(now, cur, dt);
-    prev_ = cur;
-    prev_t_ = now.value();
-    return;
-  }
-  prev_ = cur;
-  prev_t_ = now.value();
 
-  const auto& ladder = uncore_.ladder();
+  const auto& ladder = domains_.ladder();
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = groups_[g];
+    const double dram_w = (cur_.group_dram_j[g] - prev_.group_dram_j[g]) / dt;
 
-  // Phase-boundary detection on DRAM power.
-  const double last_dram_w = last_dram_.value();
-  const bool phase_change =
-      phase_ref_dram_w_ < 0.0 ||
-      std::abs(last_dram_w - phase_ref_dram_w_) >
-          cfg_.dram_phase_rel * std::max(phase_ref_dram_w_, 1.0);
-  if (phase_change) {
-    ++phase_changes_;
-    phase_ref_dram_w_ = last_dram_w;
-    phase_best_ipc_ = last_ipc_;
-    target_ = common::Ghz(ladder.max_ghz());
-    if (cfg_.scaling_enabled) uncore_.set_max_ghz_all(target_.value());
-    return;
-  }
-
-  phase_best_ipc_ = std::max(phase_best_ipc_, last_ipc_);
-
-  // Within a phase: scavenge downward while IPC holds, back off when it slips.
-  if (last_ipc_ >= cfg_.ipc_guard * phase_best_ipc_) {
-    const common::Ghz next(ladder.step_down(target_.value()));
-    if (next != target_) {
-      target_ = next;
-      if (cfg_.scaling_enabled) uncore_.set_max_ghz_all(target_.value());
-    }
-  } else {
-    const common::Ghz next(ladder.step_up(target_.value()));
-    if (next != target_) {
-      target_ = next;
-      if (cfg_.scaling_enabled) uncore_.set_max_ghz_all(target_.value());
-    }
-  }
-}
-
-void UpsController::sample_domains(common::Seconds now, const Snapshot& cur, double dt) {
-  (void)now;
-  const auto& ladder = uncore_.ladder();
-  for (std::size_t s = 0; s < socket_target_.size(); ++s) {
-    const double dram_w = (cur.dram_j_by_socket[s] - prev_.dram_j_by_socket[s]) / dt;
-
-    // Phase-boundary detection on this socket's own DRAM power.
+    // Phase-boundary detection on this group's own DRAM power.
     const bool phase_change =
-        socket_phase_ref_w_[s] < 0.0 ||
-        std::abs(dram_w - socket_phase_ref_w_[s]) >
-            cfg_.dram_phase_rel * std::max(socket_phase_ref_w_[s], 1.0);
+        group.phase_ref_w < 0.0 ||
+        std::abs(dram_w - group.phase_ref_w) >
+            cfg_.dram_phase_rel * std::max(group.phase_ref_w, 1.0);
     if (phase_change) {
       ++phase_changes_;
-      socket_phase_ref_w_[s] = dram_w;
-      socket_best_ipc_[s] = last_ipc_;
-      socket_target_[s] = common::Ghz(ladder.max_ghz());
-      if (cfg_.scaling_enabled) {
-        write_socket(static_cast<int>(s), socket_target_[s]);
-      }
+      group.phase_ref_w = dram_w;
+      group.best_ipc = last_ipc_;
+      group.target = common::Ghz(ladder.max_ghz());
+      if (cfg_.scaling_enabled) write_group(g, group.target);
       continue;
     }
 
-    socket_best_ipc_[s] = std::max(socket_best_ipc_[s], last_ipc_);
+    group.best_ipc = std::max(group.best_ipc, last_ipc_);
 
-    // Within a phase: scavenge this socket downward while node IPC holds.
-    common::Ghz next = socket_target_[s];
-    if (last_ipc_ >= cfg_.ipc_guard * socket_best_ipc_[s]) {
-      next = common::Ghz(ladder.step_down(socket_target_[s].value()));
-    } else {
-      next = common::Ghz(ladder.step_up(socket_target_[s].value()));
-    }
-    if (next != socket_target_[s]) {
-      socket_target_[s] = next;
-      if (cfg_.scaling_enabled) {
-        write_socket(static_cast<int>(s), next);
-      }
+    // Within a phase: scavenge downward while IPC holds, back off when it slips.
+    const common::Ghz next(last_ipc_ >= cfg_.ipc_guard * group.best_ipc
+                               ? ladder.step_down(group.target.value())
+                               : ladder.step_up(group.target.value()));
+    if (next != group.target) {
+      group.target = next;
+      if (cfg_.scaling_enabled) write_group(g, next);
     }
   }
-  // Diagnostics mirror the node-level fields: worst (lowest) socket target.
-  common::Ghz lo = socket_target_[0];
-  for (const common::Ghz g : socket_target_) {
-    if (g.value() < lo.value()) lo = g;
-  }
-  target_ = lo;
+  std::swap(prev_, cur_);
+  prev_t_ = now.value();
 }
 
 int register_ups_policy() {

@@ -15,21 +15,10 @@ namespace magus::core {
 MagusRuntime::MagusRuntime(hw::IMemThroughputCounter& mem_counter, hw::IMsrDevice& msr,
                            const hw::UncoreFreqLadder& ladder, MagusConfig cfg,
                            hw::IUncoreDomainSet* domains)
-    : mem_counter_(mem_counter), msr_(msr), uncore_(msr, ladder), cfg_(cfg) {
+    : binding_(msr, ladder, &mem_counter, domains), cfg_(cfg) {
   cfg_.validate();
-  mdfs_ = std::make_unique<MdfsController>(cfg_, common::Ghz(ladder.min_ghz()),
-                                           common::Ghz(ladder.max_ghz()));
-  if (domains != nullptr && domains->domain_count() > 1) {
-    domains_ = domains;
-    const auto n = static_cast<std::size_t>(domains->domain_count());
-    domain_mdfs_.reserve(n);
-    for (std::size_t d = 0; d < n; ++d) {
-      domain_mdfs_.push_back(std::make_unique<MdfsController>(
-          cfg_, common::Ghz(ladder.min_ghz()), common::Ghz(ladder.max_ghz())));
-    }
-    domain_prev_mb_.assign(n, 0.0);
-    domain_throughput_.assign(n, common::Mbps(0.0));
-  }
+  loops_.reserve(static_cast<std::size_t>(binding_.count()));
+  for (int d = 0; d < binding_.count(); ++d) loops_.emplace_back(cfg_, ladder);
 }
 
 void MagusRuntime::attach_telemetry(telemetry::MetricsRegistry& reg,
@@ -66,236 +55,114 @@ void MagusRuntime::attach_telemetry(telemetry::MetricsRegistry& reg,
   m_degraded_ = reg.gauge("magus_runtime_degraded",
                           "1 once the runtime released the uncore after repeated "
                           "failures, else 0");
-  if (domains_) {
-    const auto n = domain_mdfs_.size();
-    m_domain_target_.resize(n, nullptr);
-    m_domain_throughput_.resize(n, nullptr);
-    for (std::size_t d = 0; d < n; ++d) {
-      const std::string k = std::to_string(d);
-      m_domain_target_[d] =
-          reg.gauge("magus_uncore_domain" + k + "_target_ghz",
-                    "Executed uncore max-frequency target for domain " + k);
-      m_domain_throughput_[d] =
-          reg.gauge("magus_uncore_domain" + k + "_throughput_mbps",
-                    "Last observed memory throughput attributed to domain " + k);
-    }
+  const auto n = loops_.size();
+  m_domain_target_.resize(n, nullptr);
+  m_domain_throughput_.resize(n, nullptr);
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::string k = std::to_string(d);
+    m_domain_target_[d] = reg.gauge("magus_uncore_domain" + k + "_target_ghz",
+                                    "Executed uncore max-frequency target for domain " + k);
+    m_domain_throughput_[d] =
+        reg.gauge("magus_uncore_domain" + k + "_throughput_mbps",
+                  "Last observed memory throughput attributed to domain " + k);
   }
-  uncore_.attach_telemetry(reg);
+  binding_.attach_telemetry(reg);
 }
 
 void MagusRuntime::on_start(common::Seconds now) {
-  if (domains_) {
-    start_domains(now);
-    return;
+  const common::Ghz max(binding_.ladder().max_ghz());
+  for (std::size_t d = 0; d < loops_.size(); ++d) {
+    if (cfg_.scaling_enabled && !degraded_) write_domain(d, max, now);
   }
-  if (cfg_.scaling_enabled && !degraded_) {
-    write_uncore(common::Ghz(uncore_.ladder().max_ghz()), now);
-  }
-  telemetry::set(m_target_ghz_, uncore_.ladder().max_ghz());
-  double mb = 0.0;
-  bool readable = true;
-  try {
-    mb = mem_counter_.total_mb();
-  } catch (const common::DeviceError&) {
-    readable = false;
-  }
-  if (readable && std::isfinite(mb) && mb >= 0.0) {
-    prev_mb_ = mb;
-    prev_t_ = now.value();
-    primed_ = true;
-  } else {
-    // Priming read failed: stay unprimed so the first valid on_sample primes.
-    ++bad_samples_;
-    telemetry::inc(m_sample_errors_);
-    primed_ = false;
-  }
-}
-
-void MagusRuntime::on_sample(common::Seconds now) {
-  if (domains_) {
-    sample_domains(now);
-    return;
-  }
-  // The sample→decide core runs inside a compiler-checked lock-free section
-  // (taking any AnnotatedMutex here is a -Wthread-safety error; see
-  // DESIGN.md §14). The consequences that may lock, emit events, or sleep —
-  // hold_last_good, write_uncore's bounded-retry backoff, note_sample — run
-  // after the section ends, steered by the outcome recorded in it.
-  enum class Outcome { kSkip, kHold, kDecide };
-  Outcome outcome = Outcome::kSkip;
-  std::optional<common::Ghz> target;
-  {
-    const common::HotPathSection hot_section;
-    double mb = 0.0;
-    bool readable = true;
-    try {
-      mb = mem_counter_.total_mb();
-    } catch (const common::DeviceError&) {
-      readable = false;
-    }
-    if (!readable || !std::isfinite(mb) || mb < 0.0) {
-      outcome = Outcome::kHold;
-    } else if (!primed_) {
-      prev_mb_ = mb;
-      prev_t_ = now.value();
-      primed_ = true;
-    } else {
-      const double dt = now.value() - prev_t_;
-      if (dt > 0.0) {
-        const double mbps = (mb - prev_mb_) / dt;
-        if (mbps < 0.0) {
-          // A cumulative counter never decreases; this reading is corrupt.
-          outcome = Outcome::kHold;
-        } else {
-          last_throughput_ = common::Mbps(mbps);
-          prev_mb_ = mb;
-          prev_t_ = now.value();
-          target = mdfs_->on_throughput(now, last_throughput_);
-          outcome = Outcome::kDecide;
-        }
-      }
-    }
-  }
-  if (outcome == Outcome::kHold) {
-    hold_last_good(now);
-    return;
-  }
-  if (outcome != Outcome::kDecide) return;
-  if (target && cfg_.scaling_enabled && !degraded_) {
-    write_uncore(common::Ghz(target->value()), now);
-  }
-  note_sample(now, target);
-}
-
-void MagusRuntime::start_domains(common::Seconds now) {
-  const auto n = domain_mdfs_.size();
-  if (cfg_.scaling_enabled && !degraded_) {
-    for (std::size_t d = 0; d < n; ++d) {
-      write_domain(static_cast<int>(d), common::Ghz(uncore_.ladder().max_ghz()), now);
-    }
-  }
-  telemetry::set(m_target_ghz_, uncore_.ladder().max_ghz());
-  // Prime every domain's cumulative baseline in one sweep; a single bad
-  // read leaves the runtime unprimed so the first valid on_sample primes.
-  bool ok = true;
-  for (std::size_t d = 0; d < n && ok; ++d) {
-    double mb = 0.0;
-    try {
-      mb = mem_counter_.domain_mb(static_cast<int>(d));
-    } catch (const common::DeviceError&) {
-      ok = false;
-      break;
-    }
-    if (!std::isfinite(mb) || mb < 0.0) {
-      ok = false;
-      break;
-    }
-    domain_prev_mb_[d] = mb;
-  }
-  if (ok) {
-    prev_t_ = now.value();
-    primed_ = true;
-  } else {
-    ++bad_samples_;
-    telemetry::inc(m_sample_errors_);
-    primed_ = false;
-  }
-}
-
-void MagusRuntime::sample_domains(common::Seconds now) {
-  const auto n = domain_mdfs_.size();
-  if (!primed_) {
-    // Re-prime: identical to the start sweep, no decisions this round.
-    bool ok = true;
-    for (std::size_t d = 0; d < n && ok; ++d) {
-      double mb = 0.0;
-      try {
-        mb = mem_counter_.domain_mb(static_cast<int>(d));
-      } catch (const common::DeviceError&) {
-        ok = false;
-        break;
-      }
-      if (!std::isfinite(mb) || mb < 0.0) {
-        ok = false;
-        break;
-      }
-      domain_prev_mb_[d] = mb;
-    }
-    if (ok) {
-      prev_t_ = now.value();
-      primed_ = true;
-    } else {
+  telemetry::set(m_target_ghz_, max.value());
+  // Prime every domain's baseline. A domain whose read fails stays unprimed
+  // so its first valid on_sample primes it.
+  for (std::size_t d = 0; d < loops_.size(); ++d) {
+    loops_[d].primed = false;
+    sample_domain(d, now);
+    if (loops_[d].rejected) {
       ++bad_samples_;
       telemetry::inc(m_sample_errors_);
     }
-    return;
   }
-  const double dt = now.value() - prev_t_;
-  if (dt <= 0.0) return;
-  prev_t_ = now.value();
+}
 
+void MagusRuntime::sample_domain(std::size_t d, common::Seconds now) {
+  DomainLoop& loop = loops_[d];
+  loop.rejected = false;
+  loop.decided = false;
+  loop.target.reset();
+  double mb = 0.0;
+  bool readable = true;
+  try {
+    mb = binding_.domain_mb(static_cast<int>(d));
+  } catch (const common::DeviceError&) {
+    readable = false;
+  }
+  if (!readable || !std::isfinite(mb) || mb < 0.0) {
+    loop.rejected = true;
+  } else if (!loop.primed) {
+    loop.prev_mb = mb;
+    loop.prev_t = now.value();
+    loop.primed = true;
+    return;
+  } else {
+    const double dt = now.value() - loop.prev_t;
+    if (dt <= 0.0) return;
+    const double mbps = (mb - loop.prev_mb) / dt;
+    // A cumulative counter never decreases; a drop means a corrupt reading.
+    loop.rejected = mbps < 0.0;
+    if (!loop.rejected) {
+      loop.throughput = common::Mbps(mbps);
+      loop.prev_mb = mb;
+      loop.prev_t = now.value();
+    }
+  }
+  // A rejected reading feeds the last good throughput, so MDFS keeps cadence.
+  if (!loop.primed) return;
+  loop.target = loop.mdfs.on_throughput(now, loop.throughput);
+  loop.decided = true;
+}
+
+void MagusRuntime::on_sample(common::Seconds now) {
+  // The sample→decide core runs inside a compiler-checked lock-free section
+  // (taking any AnnotatedMutex here is a -Wthread-safety error; see
+  // DESIGN.md §14). The consequences that may lock, emit events, or sleep --
+  // write_domain's bounded-retry backoff, note_domain -- run after the
+  // section ends, steered by the outcome recorded per domain.
+  {
+    const common::HotPathSection hot_section;
+    for (std::size_t d = 0; d < loops_.size(); ++d) sample_domain(d, now);
+  }
+  bool decided = false;
   double total_mbps = 0.0;
-  unsigned retargets = 0;
-  for (std::size_t d = 0; d < n; ++d) {
-    double mb = 0.0;
-    bool good = true;
-    try {
-      mb = mem_counter_.domain_mb(static_cast<int>(d));
-    } catch (const common::DeviceError&) {
-      good = false;
-    }
-    if (good && (!std::isfinite(mb) || mb < 0.0)) good = false;
-    if (good) {
-      const double mbps = (mb - domain_prev_mb_[d]) / dt;
-      if (mbps < 0.0) {
-        // A cumulative counter never decreases; this reading is corrupt.
-        good = false;
-      } else {
-        domain_throughput_[d] = common::Mbps(mbps);
-        domain_prev_mb_[d] = mb;
-      }
-    }
-    if (!good) {
-      // This domain holds its last good throughput (its baseline stays put,
-      // so the next good reading averages across the gap); siblings are
-      // unaffected.
+  for (std::size_t d = 0; d < loops_.size(); ++d) {
+    const DomainLoop& loop = loops_[d];
+    if (loop.rejected) {
       ++bad_samples_;
       telemetry::inc(m_sample_errors_);
       if (events_) {
         events_->emit(telemetry::Event(now.value(), "sample_rejected")
                           .num("domain", static_cast<double>(d))
-                          .num("held_throughput_mbps", domain_throughput_[d].value()));
+                          .num("held_throughput_mbps", loop.throughput.value()));
       }
     }
-    total_mbps += domain_throughput_[d].value();
-
-    const std::optional<common::Ghz> target =
-        domain_mdfs_[d]->on_throughput(now, domain_throughput_[d]);
-    if (target) {
-      ++retargets;
-      if (cfg_.scaling_enabled && !degraded_) {
-        write_domain(static_cast<int>(d), common::Ghz(target->value()), now);
-      }
-      if (events_) {
-        events_->emit(telemetry::Event(now.value(), "uncore_retarget")
-                          .num("domain", static_cast<double>(d))
-                          .num("target_ghz", target->value())
-                          .num("throughput_mbps", domain_throughput_[d].value())
-                          .flag("high_freq", domain_mdfs_[d]->high_freq_status()));
-      }
+    total_mbps += loop.throughput.value();
+    if (!loop.decided) continue;
+    decided = true;
+    if (loop.target && cfg_.scaling_enabled && !degraded_) {
+      write_domain(d, *loop.target, now);
     }
-    if (d < m_domain_target_.size()) {
-      telemetry::set(m_domain_target_[d], domain_mdfs_[d]->current_target().value());
-      telemetry::set(m_domain_throughput_[d], domain_throughput_[d].value());
-    }
+    if (m_samples_ || events_) note_domain(d, now);
   }
   last_throughput_ = common::Mbps(total_mbps);
-  telemetry::inc(m_samples_);
-  telemetry::set(m_throughput_, total_mbps);
-  telemetry::inc(m_tuning_events_, retargets);
+  if (decided) {
+    telemetry::inc(m_samples_);
+    telemetry::set(m_throughput_, total_mbps);
+  }
 }
 
-void MagusRuntime::write_domain(int domain, common::Ghz ghz, common::Seconds now) {
+void MagusRuntime::write_domain(std::size_t d, common::Ghz ghz, common::Seconds now) {
   const ResilienceConfig& res = cfg_.resilience;
   common::Seconds backoff = res.backoff_base;
   for (int attempt = 0; attempt <= res.write_retries; ++attempt) {
@@ -305,7 +172,7 @@ void MagusRuntime::write_domain(int domain, common::Ghz ghz, common::Seconds now
       backoff = common::Seconds(backoff.value() * res.backoff_mult);
     }
     try {
-      domains_->write_max_ghz(domain, ghz);
+      binding_.write_max_ghz(static_cast<int>(d), ghz);
       consecutive_write_failures_ = 0;
       return;
     } catch (const common::DeviceError&) {
@@ -316,53 +183,7 @@ void MagusRuntime::write_domain(int domain, common::Ghz ghz, common::Seconds now
   ++consecutive_write_failures_;
   if (events_) {
     events_->emit(telemetry::Event(now.value(), "uncore_write_failed")
-                      .num("domain", static_cast<double>(domain))
-                      .num("target_ghz", ghz.value())
-                      .num("consecutive", consecutive_write_failures_));
-  }
-  if (consecutive_write_failures_ >= res.max_consecutive_failures) {
-    enter_degraded(now);
-  }
-}
-
-void MagusRuntime::hold_last_good(common::Seconds now) {
-  ++bad_samples_;
-  telemetry::inc(m_sample_errors_);
-  if (events_) {
-    events_->emit(telemetry::Event(now.value(), "sample_rejected")
-                      .num("held_throughput_mbps", last_throughput_.value()));
-  }
-  // prev_mb_/prev_t_ stay put: the next good reading averages across the
-  // gap. Feed the last good throughput to MDFS so its windows keep cadence.
-  if (!primed_) return;
-  const std::optional<common::Ghz> target = mdfs_->on_throughput(now, last_throughput_);
-  if (target && cfg_.scaling_enabled && !degraded_) {
-    write_uncore(common::Ghz(target->value()), now);
-  }
-  note_sample(now, target);
-}
-
-void MagusRuntime::write_uncore(common::Ghz ghz, common::Seconds now) {
-  const ResilienceConfig& res = cfg_.resilience;
-  common::Seconds backoff = res.backoff_base;
-  for (int attempt = 0; attempt <= res.write_retries; ++attempt) {
-    if (attempt > 0) {
-      telemetry::inc(m_msr_retries_);
-      if (backoff_sleeper_) backoff_sleeper_(backoff);
-      backoff = common::Seconds(backoff.value() * res.backoff_mult);
-    }
-    try {
-      uncore_.set_max_ghz_all(ghz.value());
-      consecutive_write_failures_ = 0;
-      return;
-    } catch (const common::DeviceError&) {
-      telemetry::inc(m_msr_failures_);
-    }
-  }
-  ++write_failures_;
-  ++consecutive_write_failures_;
-  if (events_) {
-    events_->emit(telemetry::Event(now.value(), "uncore_write_failed")
+                      .num("domain", static_cast<double>(d))
                       .num("target_ghz", ghz.value())
                       .num("consecutive", consecutive_write_failures_));
   }
@@ -374,46 +195,23 @@ void MagusRuntime::write_uncore(common::Ghz ghz, common::Seconds now) {
 void MagusRuntime::enter_degraded(common::Seconds now) {
   if (degraded_) return;
   degraded_ = true;
-  // Safe fallback: best-effort release of every socket (or, in per-domain
-  // mode, every domain) to the ladder maximum (the firmware default), one
-  // try each -- a device that is still failing is left to the firmware
-  // watchdog.
-  if (domains_) {
-    for (std::size_t d = 0; d < domain_mdfs_.size(); ++d) {
-      try {
-        domains_->write_max_ghz(static_cast<int>(d),
-                                common::Ghz(uncore_.ladder().max_ghz()));
-      } catch (const common::DeviceError&) {
-      }
-    }
-  } else {
-    for (int socket = 0; socket < msr_.socket_count(); ++socket) {
-      try {
-        uncore_.set_max_ghz(socket, uncore_.ladder().max_ghz());
-      } catch (const common::DeviceError&) {
-      }
-    }
-  }
+  // Safe fallback: best-effort release of every domain to the ladder maximum
+  // (the firmware default), one try per socket or domain -- a device that is
+  // still failing is left to the firmware watchdog.
+  binding_.release_all();
+  const double max_ghz = binding_.ladder().max_ghz();
   telemetry::set(m_degraded_, 1.0);
-  telemetry::set(m_target_ghz_, uncore_.ladder().max_ghz());
+  telemetry::set(m_target_ghz_, max_ghz);
   if (events_) {
     events_->emit(telemetry::Event(now.value(), "runtime_degraded")
                       .num("consecutive_failures", consecutive_write_failures_)
-                      .num("release_ghz", uncore_.ladder().max_ghz()));
+                      .num("release_ghz", max_ghz));
   }
 }
 
-void MagusRuntime::note_sample(common::Seconds now,
-                               const std::optional<common::Ghz>& target) {
-  // One branch on the hot path when telemetry is detached / NullRegistry.
-  if (!m_samples_ && !events_) return;
-
-  telemetry::inc(m_samples_);
-  telemetry::set(m_throughput_, last_throughput_.value());
-  telemetry::set(m_temporary_ghz_, mdfs_->temporary_target().value());
-
-  const DecisionRecord& rec = mdfs_->log().back();
-  telemetry::set(m_derivative_, rec.derivative.value());
+void MagusRuntime::note_domain(std::size_t d, common::Seconds now) {
+  DomainLoop& loop = loops_[d];
+  const DecisionRecord& rec = loop.mdfs.log().back();
   if (!rec.warmup) {
     switch (rec.prediction) {
       case Trend::kIncrease: telemetry::inc(m_pred_increase_); break;
@@ -421,26 +219,35 @@ void MagusRuntime::note_sample(common::Seconds now,
       case Trend::kStable: telemetry::inc(m_pred_stable_); break;
     }
   }
-
-  const bool hf = mdfs_->high_freq_status();
-  telemetry::set(m_hf_active_, hf ? 1.0 : 0.0);
-  if (target) {
+  const bool hf = loop.mdfs.high_freq_status();
+  if (d == 0) {
+    telemetry::set(m_temporary_ghz_, loop.mdfs.temporary_target().value());
+    telemetry::set(m_derivative_, rec.derivative.value());
+    telemetry::set(m_hf_active_, hf ? 1.0 : 0.0);
+  }
+  if (d < m_domain_target_.size()) {
+    telemetry::set(m_domain_target_[d], loop.mdfs.current_target().value());
+    telemetry::set(m_domain_throughput_[d], loop.throughput.value());
+  }
+  if (loop.target) {
     telemetry::inc(m_tuning_events_);
-    telemetry::set(m_target_ghz_, target->value());
+    if (d == 0) telemetry::set(m_target_ghz_, loop.target->value());
     if (events_) {
       events_->emit(telemetry::Event(now.value(), "uncore_retarget")
-                        .num("target_ghz", target->value())
-                        .num("throughput_mbps", last_throughput_.value())
+                        .num("domain", static_cast<double>(d))
+                        .num("target_ghz", loop.target->value())
+                        .num("throughput_mbps", loop.throughput.value())
                         .flag("high_freq", hf));
     }
   }
-  if (hf != last_hf_) {
+  if (hf != loop.last_hf) {
     if (hf) telemetry::inc(m_hf_phases_);
     if (events_) {
       events_->emit(telemetry::Event(now.value(), hf ? "high_freq_enter" : "high_freq_exit")
-                        .num("throughput_mbps", last_throughput_.value()));
+                        .num("domain", static_cast<double>(d))
+                        .num("throughput_mbps", loop.throughput.value()));
     }
-    last_hf_ = hf;
+    loop.last_hf = hf;
   }
 }
 

@@ -50,8 +50,10 @@ std::size_t BatchRun::add(const sim::SystemSpec& system, const wl::PhaseProgram&
   ctx.power_cap = &opts.power_cap;
   ctx.metrics = opts.metrics;
   ctx.events = opts.events;
-  // Per-domain control only on multi-domain nodes: single-domain runs keep
-  // the legacy node-level loop (and its exact counter-access sequence).
+  // The simulator's domain set only on multi-domain nodes. Without it the
+  // policies bind the whole node as one domain over the (possibly
+  // fault-decorated) MSR device; a legacy multi-socket node given this set
+  // would instead get per-socket control, a different model.
   if (system.cpu.dies_per_socket > 1 || system.numa_skew != 0.0) {
     ctx.domains = &engine.domains();
   }

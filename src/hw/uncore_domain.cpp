@@ -49,6 +49,15 @@ void MsrDomainSet::write_max_ghz(int domain, common::Ghz freq) {
   ctl_.set_max_ghz_all(freq.value());
 }
 
+void MsrDomainSet::release_max_ghz(common::Ghz freq) {
+  for (int s = 0; s < msr_.socket_count(); ++s) {
+    try {
+      ctl_.set_max_ghz(s, freq.value());
+    } catch (const common::DeviceError&) {
+    }
+  }
+}
+
 void MsrDomainSet::write_min_ghz(int domain, common::Ghz freq) {
   check_domain(domain);
   const unsigned target = ctl_.ladder().clamp_ratio(common::ghz_to_ratio(freq.value()));
@@ -59,6 +68,26 @@ void MsrDomainSet::write_min_ghz(int domain, common::Ghz freq) {
     limit.min_ratio = target;
     msr_.write(s, msr::kUncoreRatioLimit, limit.encode(raw));
     ++min_writes_;
+  }
+}
+
+DomainBinding::DomainBinding(IMsrDevice& msr, const UncoreFreqLadder& ladder,
+                             IMemThroughputCounter* mem, IUncoreDomainSet* domains)
+    : node_(msr, ladder),
+      mem_(mem),
+      set_(domains != nullptr && domains->domain_count() > 1 ? domains : &node_),
+      count_(set_->domain_count()) {}
+
+void DomainBinding::release_all() {
+  if (set_ == &node_) {
+    node_.release_max_ghz(common::Ghz(ladder().max_ghz()));
+    return;
+  }
+  for (int d = 0; d < count_; ++d) {
+    try {
+      set_->write_max_ghz(d, common::Ghz(ladder().max_ghz()));
+    } catch (const common::DeviceError&) {
+    }
   }
 }
 

@@ -26,13 +26,6 @@ double UncoreFreqLadder::step_up(double ghz) const noexcept {
   return common::ratio_to_ghz(r < max_ratio_ ? r + 1 : max_ratio_);
 }
 
-std::vector<double> UncoreFreqLadder::frequencies() const {
-  std::vector<double> fs;
-  fs.reserve(steps());
-  for (unsigned r = min_ratio_; r <= max_ratio_; ++r) fs.push_back(common::ratio_to_ghz(r));
-  return fs;
-}
-
 UncoreFreqController::UncoreFreqController(IMsrDevice& msr, UncoreFreqLadder ladder)
     : msr_(msr), ladder_(ladder) {}
 

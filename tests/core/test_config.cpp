@@ -63,6 +63,14 @@ TEST(MagusConfig, RejectsNonPositivePeriod) {
                magus::common::ConfigError);
 }
 
+TEST(MagusConfig, RejectsPeriodAboveCeiling) {
+  EXPECT_NO_THROW(mutate([](mc::MagusConfig& c) {
+                    c.period = Seconds(mc::MagusConfig::kMaxPeriodS);
+                  }).validate());
+  EXPECT_THROW(mutate([](mc::MagusConfig& c) { c.period = Seconds(5000.0); }).validate(),
+               magus::common::ConfigError);
+}
+
 // Any threshold set from the paper's Fig. 7 sweep grid must validate.
 class SweepGridValidity
     : public ::testing::TestWithParam<std::tuple<double, double, double>> {};

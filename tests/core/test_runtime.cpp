@@ -112,3 +112,25 @@ TEST(MagusRuntime, InitialUncoreIsMax) {
   EXPECT_DOUBLE_EQ(rig.engine.node().uncore(0).policy_limit().value(), 2.2);
   EXPECT_DOUBLE_EQ(rig.engine.node().uncore(1).policy_limit().value(), 2.2);
 }
+
+TEST(MagusRuntime, MultiDieRunFeedsDomainZeroController) {
+  // Four dies per socket: one MDFS controller per domain. controller() is
+  // domain 0's, so it has seen every monitoring cycle.
+  ms::SystemSpec system = ms::intel_a100();
+  system.cpu.dies_per_socket = 4;
+  ms::SimEngine engine(system, burst_workload());
+  const magus::hw::UncoreFreqLadder ladder(0.8, 2.2);
+  mc::MagusRuntime magus(engine.mem_counter(), engine.msr(), ladder, {}, &engine.domains());
+  ASSERT_EQ(magus.domain_count(), 8);
+
+  ms::PolicyHook hook;
+  hook.name = magus.name();
+  hook.period_s = magus.period_s();
+  hook.on_start = [&magus](magus::common::Seconds t) { magus.on_start(t); };
+  hook.on_sample = [&magus](magus::common::Seconds t) { magus.on_sample(t); };
+  const auto r = engine.run(hook);
+
+  ASSERT_GT(r.invocations, 10u);
+  EXPECT_EQ(magus.controller().log().size(), r.invocations);
+  EXPECT_EQ(&magus.controller(), &magus.domain_controller(0));
+}

@@ -152,3 +152,19 @@ TEST(TelemetryDeterminism, RunPolicyIdenticalWithTelemetry) {
             base.result.invocations);
   EXPECT_GE(reg.counter("magus_mdfs_tuning_events_total")->value(), 1u);
 }
+
+TEST(TelemetryDeterminism, MsrWriteCounterMatchesMeteredWrites) {
+  // A single-domain MAGUS run writes MSR 0x620 through the node-wide domain
+  // set; magus_hw_msr_writes_total counts exactly the writes the engine
+  // metered.
+  const auto system = magus::sim::intel_a100();
+  const auto program = magus::wl::make_workload("unet");
+  mt::MetricsRegistry reg;
+  me::RunOptions opts;
+  opts.metrics = &reg;
+  const auto out = me::run_policy(system, program, "magus", opts);
+
+  ASSERT_GT(out.result.accesses.msr_writes, 0u);
+  EXPECT_EQ(reg.counter("magus_hw_msr_writes_total")->value(),
+            out.result.accesses.msr_writes);
+}

@@ -43,7 +43,8 @@ class ScriptedCounter final : public mh::IMemThroughputCounter {
 };
 
 /// In-memory two-socket MSR whose writes fail while `fail_writes` > 0
-/// (decremented per attempted write), then succeed and persist.
+/// (decremented per attempted write), then succeed and persist; writes to
+/// `dead_socket` always fail.
 class FlakyMsr final : public mh::IMsrDevice {
  public:
   [[nodiscard]] int socket_count() const override { return 2; }
@@ -54,6 +55,7 @@ class FlakyMsr final : public mh::IMsrDevice {
 
   void write(int socket, std::uint32_t reg, std::uint64_t value) override {
     ++write_attempts;
+    if (socket == dead_socket) throw magus::common::DeviceError("dead MSR socket");
     if (fail_writes > 0) {
       --fail_writes;
       throw magus::common::DeviceError("flaky MSR write");
@@ -66,6 +68,7 @@ class FlakyMsr final : public mh::IMsrDevice {
   }
 
   int fail_writes = 0;  ///< attempted writes left to reject
+  int dead_socket = -1;  ///< socket whose writes always fail
   int write_attempts = 0;
 
  private:
@@ -216,6 +219,23 @@ TEST(RuntimeResilience, DegradationSurvivesFailedReleaseWrites) {
   magus.on_sample(Seconds(0.4));
   EXPECT_EQ(msr.write_attempts, attempts);
   EXPECT_TRUE(magus.degraded());
+}
+
+TEST(RuntimeResilience, DegradedReleaseTriesEverySocket) {
+  // Socket 0 rejects every write; socket 1 works. The release that follows
+  // degradation still reaches socket 1: each socket gets its own attempt.
+  ScriptedCounter counter({0.0});
+  FlakyMsr msr;
+  msr.dead_socket = 0;
+  mh::UncoreFreqLadder ladder(0.8, 2.2);
+  mc::MagusConfig cfg;
+  cfg.resilience.write_retries = 0;
+  cfg.resilience.max_consecutive_failures = 1;
+  mc::MagusRuntime magus(counter, msr, ladder, cfg);
+
+  magus.on_start(Seconds(0.0));  // the max-limit write fails on socket 0
+  EXPECT_TRUE(magus.degraded());
+  EXPECT_DOUBLE_EQ(msr.limit(1).max_ghz(), 2.2);
 }
 
 TEST(RuntimeResilience, ResilienceConfigValidation) {

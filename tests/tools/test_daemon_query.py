@@ -9,6 +9,10 @@ token -- never a 500, never a silently truncated or wrapped value that queues
 a job. A well-formed submission must still be accepted with 202, and SIGINT
 must stop the daemon cleanly (exit 0) once the queued job has finished.
 
+The real-hardware mode's `--interval` is checked first: a value outside
+(0, 3600] s must exit 2 with an error naming the interval, and must do so
+before the MSR device is probed, so the check holds on hosts without one.
+
 Usage: test_daemon_query.py <path-to-magus-daemon>
 """
 
@@ -69,9 +73,26 @@ def check_accepts(port):
     print("ok: well-formed submission queued with 202")
 
 
+def check_interval_bounds(daemon):
+    for value in ("5000", "0"):
+        res = subprocess.run(
+            [daemon, "--throughput-file", "/nonexistent", "--interval", value],
+            capture_output=True,
+            text=True,
+            timeout=STARTUP_TIMEOUT_S,
+        )
+        if res.returncode != 2:
+            raise SystemExit(f"FAIL: --interval {value} exited {res.returncode}, not 2")
+        if "interval" not in res.stderr:
+            raise SystemExit(f"FAIL: --interval {value} error names no interval: "
+                             f"{res.stderr!r}")
+    print("ok: out-of-range --interval values exit 2 naming the interval")
+
+
 def main():
     if len(sys.argv) < 2:
         raise SystemExit("usage: test_daemon_query.py <path-to-magus-daemon>")
+    check_interval_bounds(sys.argv[1])
     proc = subprocess.Popen(
         [sys.argv[1], "--fleet", "--metrics-port", "0", "--jobs", "1"],
         stdout=subprocess.PIPE,

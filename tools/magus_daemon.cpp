@@ -511,13 +511,8 @@ int run_simulated(const std::map<std::string, std::string>& flags) {
 }
 
 int run_real(const std::map<std::string, std::string>& flags) {
-  const auto caps = hw::probe_host();
-  if (!caps.msr_dev) {
-    std::cerr << "[magus-daemon] /dev/cpu/0/msr not accessible -- load the msr "
-                 "module and run as root, or use --simulate\n";
-    return 2;
-  }
-
+  // Every flag is parsed and validated before the host is probed, so a bad
+  // value is reported as such on any machine, MSR device or not.
   const double interval =
       flags.count("interval") ? common::parse_double(flags.at("interval")) : 0.2;
   const double min_ghz =
@@ -532,16 +527,28 @@ int run_real(const std::map<std::string, std::string>& flags) {
   }
   const std::vector<int> cpus =
       flags.count("sockets") ? parse_cpu_list(flags.at("sockets")) : std::vector<int>{0};
+  const hw::UncoreFreqLadder ladder(min_ghz, max_ghz);
+  core::MagusConfig cfg;
+  cfg.period = common::Seconds(interval);
+  cfg.scaling_enabled = !flags.count("dry-run");
+  try {
+    cfg.validate();
+  } catch (const common::ConfigError& e) {
+    throw common::ConfigError(std::string("--interval: ") + e.what());
+  }
+
+  const auto caps = hw::probe_host();
+  if (!caps.msr_dev) {
+    std::cerr << "[magus-daemon] /dev/cpu/0/msr not accessible -- load the msr "
+                 "module and run as root, or use --simulate\n";
+    return 2;
+  }
 
   Telemetry tel(flags);
   tel.announce();
 
   hw::FileMemThroughputCounter counter(flags.at("throughput-file"));
   hw::LinuxMsrDevice msr(cpus);
-  const hw::UncoreFreqLadder ladder(min_ghz, max_ghz);
-  core::MagusConfig cfg;
-  cfg.period = common::Seconds(interval);
-  cfg.scaling_enabled = !flags.count("dry-run");
   core::MagusRuntime magus(counter, msr, ladder, cfg);
   magus.attach_telemetry(tel.registry, &tel.events);
   // On real hardware a retry should actually back off (the simulator leaves
